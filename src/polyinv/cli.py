@@ -52,6 +52,8 @@ class CliConfig:
     def __post_init__(self):
         if self.dilation_max < 1:
             raise DomainError("--dilations must be >= 1")
+        if not self.t_range:
+            raise DomainError("--t-range must name at least one t")
         if any(t < 0 for t in self.t_range):
             raise DomainError("--t-range entries must be nonnegative")
 
@@ -241,8 +243,12 @@ def run(config: CliConfig, input_bytes: bytes = b"") -> tuple[int, bytes]:
 
 def _t_range(text: str) -> tuple[int, ...]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(
+                f"empty range {text!r}: the upper end is below the lower end"
+            )
+        return tuple(range(lo, hi + 1))
     return (int(text),)
 
 

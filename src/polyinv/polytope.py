@@ -9,15 +9,16 @@ dimensional model, so lower dimensional inputs such as hypersimplices
 inside a hyperplane of Z^n behave exactly like full dimensional ones.
 Reported vertices keep the caller's ambient coordinates.
 
-Facet enumeration is deliberately the desk-scale exact algorithm:
-candidate hyperplanes through affinely independent vertex subsets,
-validated by sidedness against every point. Correctness over asymptotics;
-the intended instances have at most a few dozen vertices.
+Facets of a bare V-representation come from an exact integer double
+description hull on the normalized model (`_hull_facet_normals`), whose
+rays are the facet inequalities. Every candidate normal is still
+validated by sidedness and the rank of its tight set before it becomes a
+facet, and a point is kept as a vertex only if its facet normals span the
+model space.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -47,9 +48,6 @@ class Face:
     @property
     def vertices(self) -> tuple[Point, ...]:
         return tuple(self.owner.vertices[i] for i in self.vertex_ids)
-
-    def as_polytope(self) -> "Polytope":
-        return self.owner._face_subpolytope(self)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={len(self.vertex_ids)})"
@@ -89,7 +87,7 @@ class Polytope:
         if d == 0:
             return cls._assemble(pts, norm, [], name=name, require_all_extreme=False)
         model = [norm.forward(p) for p in pts]
-        normals = _hull_candidate_normals(model, d)
+        normals = _hull_facet_normals(model, d)
         return cls._assemble(
             pts, norm, normals, name=name, require_all_extreme=False
         )
@@ -449,10 +447,6 @@ class Polytope:
         mapped = [la.vec_add(la.mat_vec(M, v), t) for v in self.vertices]
         return Polytope.from_vertices(mapped, name=self.name)
 
-    def normalized_copy(self) -> "Polytope":
-        """This polytope re-embedded full dimensionally via its model."""
-        return Polytope.from_vertices(self._nverts, name=self.name)
-
     # -- membership ------------------------------------------------------
 
     def contains(self, point: Sequence) -> bool:
@@ -492,14 +486,6 @@ class Polytope:
                 rb = b - la.dot(a, norm.base)
                 ineqs.append((ra, rb))
             self._cache[key] = (norm, coords, tuple(ineqs))
-        return self._cache[key]
-
-    def _face_subpolytope(self, face: Face) -> "Polytope":
-        key = ("fpoly", face.vertex_ids)
-        if key not in self._cache:
-            self._cache[key] = Polytope.from_vertices(
-                [self.vertices[i] for i in face.vertex_ids]
-            )
         return self._cache[key]
 
     def _triangulation(self, face: Face) -> tuple[tuple[int, ...], ...]:
@@ -588,25 +574,68 @@ def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
     return pts
 
 
-def _hull_candidate_normals(model: list[Point], d: int) -> list[Point]:
-    """Primitive normals of hyperplanes through d affinely independent
-    model points. Every facet normal of the hull appears among them."""
-    out = []
-    seen = set()
-    for subset in itertools.combinations(range(len(model)), d):
-        base = model[subset[0]]
-        diffs = [list(la.vec_sub(model[i], base)) for i in subset[1:]]
-        kern = la.kernel_basis(diffs) if diffs else la.kernel_basis([[0] * d])
-        if len(kern) != 1:
+def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
+    """Primitive inward facet normals of the full dimensional hull of
+    `model` in Z^d, by the double description method (Fukuda & Prodon,
+    "Double description method revisited", 1996) in exact integers.
+
+    A point v is homogenized as the row (v, -1), so the facets are the
+    extreme rays (a, b) of the cone {(a, b) : <a, v> - b >= 0 for every
+    point}. The cone of d + 1 affinely independent rows is simplicial.
+    Each further row keeps the rays on its nonnegative side and joins
+    every adjacent pair that it separates. Adjacency is the combinatorial
+    test on zero sets, kept as bitmasks over the model point ids.
+    """
+    rows = [v + (-1,) for v in model]
+    start = _affine_basis(model, d)
+    rays: list[Point] = []
+    zeros: list[int] = []
+    for j in start:
+        (r,) = la.kernel_basis([rows[i] for i in start if i != j])
+        if la.dot(r, rows[j]) < 0:
+            r = tuple(-x for x in r)
+        rays.append(r)
+        zeros.append(sum(1 << i for i in start if i != j))
+
+    for i, row in enumerate(rows):
+        if i in start:
             continue
-        a = la.primitive(kern[0])
-        # canonical sign for dedup only; both signs are tried downstream
-        for x in a:
-            if x != 0:
-                if x < 0:
-                    a = tuple(-y for y in a)
+        bit = 1 << i
+        vals = [la.dot(r, row) for r in rays]
+        pos = [k for k, s in enumerate(vals) if s > 0]
+        neg = [k for k, s in enumerate(vals) if s < 0]
+        new_rays, new_zeros = [], []
+        for p in pos:
+            for q in neg:
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < d - 1 or any(
+                    common & z == common
+                    for k, z in enumerate(zeros)
+                    if k != p and k != q
+                ):
+                    continue
+                # |val_q| * ray_p + val_p * ray_q vanishes on the new row
+                ray = tuple(
+                    -vals[q] * x + vals[p] * y for x, y in zip(rays[p], rays[q])
+                )
+                new_rays.append(la.primitive(ray))
+                new_zeros.append(common | bit)
+        keep = [k for k, s in enumerate(vals) if s >= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep]
+        zeros += new_zeros
+    return [la.primitive(r[:-1]) for r in rays]
+
+
+def _affine_basis(model: list[Point], d: int) -> list[int]:
+    """Ids of the first d + 1 affinely independent points, greedily."""
+    basis = [0]
+    diffs: list[Point] = []
+    for i in range(1, len(model)):
+        diff = la.vec_sub(model[i], model[0])
+        if la.rank(diffs + [diff]) > len(diffs):
+            diffs.append(diff)
+            basis.append(i)
+            if len(basis) == d + 1:
                 break
-        if a not in seen:
-            seen.add(a)
-            out.append(a)
-    return out
+    return basis

@@ -4,8 +4,10 @@ Everything here is deliberately written from scratch against the same
 mathematical definitions the library implements, sharing no code with
 it: exact rational Gaussian elimination, a tiny phase-I simplex over
 Fractions for feasibility questions, supporting-hyperplane face
-detection by subset enumeration, half-open parallelotope point counts,
-and bounding-box lattice counts with convex-hull membership tests.
+detection by subset enumeration, facets by hyperplanes through every
+affinely independent point subset, half-open parallelotope point
+counts, and bounding-box lattice counts with convex-hull membership
+tests.
 Slow on purpose; used only at desk scale.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,52 @@ def gauss_solve(A, b):
     for i, col in enumerate(pivots):
         x[col] = aug[i][n]
     return x
+
+
+def gauss_kernel(rows, n):
+    """Basis of {x in Q^n : r . x = 0 for every row r}, one vector per
+    free column of the reduced row echelon form."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = None
+        for i in range(r, len(a)):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    out = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            x[col] = -a[i][free]
+        out.append(x)
+    return out
+
+
+def _integral_primitive(v):
+    """The primitive integer vector with the direction of a rational one."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +239,66 @@ def face_vertex_sets(vertices):
             ]
             if _separating_functional_exists(tight, strict):
                 out.add(frozenset(S))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# facets by subset enumeration
+
+
+def subset_hull_facets(points):
+    """Facets of conv(points) as {tight point set: (normal, offset)}.
+
+    Tries the hyperplane through every affinely independent subset of
+    dim(P) points. Inside the affine span such a hyperplane is unique;
+    its normal is the first rational kernel vector of the subset's
+    differences that is not constant on the points, made primitive and
+    integral. It is a facet when every point lies on one side; the
+    normal is then oriented inward, with <normal, p> >= offset for every
+    point p and equality exactly on the tight set. For a full
+    dimensional input this is the unique primitive inward normal; for a
+    lower dimensional one it is one valid choice modulo the span.
+    """
+    pts = sorted({tuple(p) for p in points})
+    d = affine_dim(pts)
+    if d <= 0:
+        return {}
+    n = len(pts[0])
+    facets = {}
+    for S in itertools.combinations(range(len(pts)), d):
+        base = pts[S[0]]
+        diffs = [[x - y for x, y in zip(pts[i], base)] for i in S[1:]]
+        if gauss_rank(diffs) != d - 1:
+            continue
+        for v in gauss_kernel(diffs, n):
+            vals = {sum(x * y for x, y in zip(v, p)) for p in pts}
+            if len(vals) > 1:
+                break
+        a = _integral_primitive(v)
+        at_base = sum(x * y for x, y in zip(a, base))
+        vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        for sign in (1, -1):
+            if all(sign * (w - at_base) >= 0 for w in vals):
+                normal = tuple(sign * x for x in a)
+                tight = frozenset(p for p, w in zip(pts, vals) if w == at_base)
+                facets[tight] = (normal, sign * at_base)
+    return facets
+
+
+def hull_vertices(points, facets):
+    """Sorted vertices of conv(points), given its `subset_hull_facets`:
+    the points alone in the intersection of the facets through them."""
+    pts = sorted({tuple(p) for p in points})
+    if not facets:
+        return pts[:1]
+    out = []
+    for p in pts:
+        face = set(pts)
+        for tight in facets:
+            if p in tight:
+                face &= tight
+        if face == {p}:
+            out.append(p)
     return out
 
 

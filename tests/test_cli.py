@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from polyinv.cli import CliConfig, run
+from polyinv.errors import DomainError
 
 TRI = json.dumps(
     {"name": "tri", "ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
@@ -160,6 +161,22 @@ class TestErrorPaths:
     def test_bad_t_range_rejected(self):
         with pytest.raises(Exception):
             CliConfig(command="invariants", t_range=(-1,))
+
+    def test_empty_t_range_rejected(self):
+        with pytest.raises(DomainError, match="t-range"):
+            CliConfig(command="invariants", t_range=())
+
+    def test_reversed_t_range_rejected(self, tmp_path, capsys):
+        from polyinv.cli import main
+
+        p = tmp_path / "tri.json"
+        p.write_bytes(TRI)
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--t-range", "3..1", str(p)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'3..1'" in captured.err
+        assert captured.out == ""
 
 
 class TestDeterminism:

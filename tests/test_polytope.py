@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyinv import Polytope, cube, hypersimplex, simplex
 from polyinv.errors import DomainError
@@ -114,6 +116,80 @@ class TestFaceLattice:
             P = Polytope.from_vertices(sorted(pts))
             got = {frozenset(f.vertex_ids) for f in P.face_lattice()}
             assert got == oracles.face_vertex_sets(P.vertices), (trial, pts)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Point sets of affine dimension up to 5: even lattice points, some
+    pushed onto one coordinate hyperplane, plus integral midpoints and
+    repeats; optionally lifted into a hyperplane of Z^(m+1)."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 5)))
+    k = draw(st.integers(m + 1, m + 4))
+    coord = st.integers(-1, 1)
+    base = draw(
+        st.lists(st.tuples(*[coord] * m), min_size=k, max_size=k, unique=True)
+    )
+    flat = draw(st.integers(0, k))
+    pts = [
+        tuple(2 * x for x in p[:-1]) + ((-2,) if i < flat else (2 * p[-1],))
+        for i, p in enumerate(base)
+    ]
+    for i, j in draw(
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3)
+    ):
+        pts.append(tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])))
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=2))]
+    if m < 5 and draw(st.booleans()):
+        c = draw(st.tuples(*[coord] * m))
+        t = draw(coord)
+        pts = [p + (sum(x * y for x, y in zip(c, p)) + t,) for p in pts]
+    return draw(st.permutations(pts))
+
+
+class TestHullOracle:
+    """`from_vertices` against the subset enumeration it replaced."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_matches_subset_enumeration(self, pts):
+        P = Polytope.from_vertices(pts)
+        expected = oracles.subset_hull_facets(pts)
+        assert list(P.vertices) == oracles.hull_vertices(pts, expected)
+        got = set()
+        for (a, b), ids in zip(P.facets, P._incidence):
+            vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+            assert min(vals) == b
+            tight = frozenset(p for p, v in zip(pts, vals) if v == b)
+            assert tight in expected
+            if P.dim == P.ambient_dim:
+                assert (a, b) == expected[tight]
+            assert {P.vertices[i] for i in ids} == tight & set(P.vertices)
+            got.add(tight)
+        assert got == set(expected)
+
+    @pytest.mark.parametrize(
+        "points,family",
+        [
+            (list(itertools.product((0, 1), repeat=5)), lambda: cube(5, 1)),
+            (
+                [
+                    tuple(int(i in S) for i in range(7))
+                    for S in itertools.combinations(range(7), 3)
+                ],
+                lambda: hypersimplex(3, 7),
+            ),
+        ],
+        ids=["cube5", "hypersimplex37"],
+    )
+    def test_many_vertices_fast(self, points, family):
+        start = time.perf_counter()
+        P = Polytope.from_vertices(points)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        Q = family()
+        assert P.n_vertices == len(points)
+        assert P.facets == Q.facets
+        assert P.f_vector == Q.f_vector
 
 
 class TestPredicates:

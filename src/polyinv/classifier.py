@@ -133,7 +133,6 @@ def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
     images = {la.vec_add(la.mat_vec(M, v), shift) for v in P._nverts}
     if images != _standard_simplex_vertices(r):
         return None
-    point = simplex(0)
     fibers = tuple(Polytope.from_vertices([()]) for _ in range(r + 1))
     rebuilt = projective_join(JoinSpec.build(fibers))
     if not unimodular_equivalent(rebuilt, P):

@@ -2,7 +2,10 @@
 
 Standard simplices, cubes with prescribed edge length, hypersimplices,
 cartesian products, projective joins of strongly isomorphic summands,
-and Eulerian numbers (descent convention).
+and Eulerian numbers (descent convention). Every generator builds its
+vertex list and hands it to `Polytope.from_vertices`, and fails with
+`InternalConsistencyError` if the hull drops a point that the family
+says is a vertex.
 
 The projective join of m-dimensional polytopes P_0 .. P_k places summand
 i at the vertex e_i of a unimodular k-simplex in k extra coordinates
@@ -10,7 +13,7 @@ i at the vertex e_i of a unimodular k-simplex in k extra coordinates
 Summands must be strongly isomorphic: equal normal fans under a shared
 normalization of their (parallel) affine spans. That is stronger than
 sharing a combinatorial type, and it is what makes the vertex matching
-canonical and the join's facet description predictable.
+canonical.
 """
 
 from __future__ import annotations
@@ -29,17 +32,24 @@ from .polytope import Polytope
 # basic families
 
 
+def _generated(family: str, verts: list, name: Optional[str]) -> Polytope:
+    """`from_vertices` on a generated vertex list whose every point must
+    come out as a vertex."""
+    P = Polytope.from_vertices(verts, name=name)
+    if P.n_vertices != len(verts):
+        raise InternalConsistencyError(
+            f"{family} construction dropped a point expected to be a vertex"
+        )
+    return P
+
+
 def simplex(r: int) -> Polytope:
     """The standard r-simplex conv{0, e_1, ..., e_r}; a point for r = 0."""
     if r < 0:
         raise DomainError("simplex dimension must be nonnegative")
-    if r == 0:
-        return Polytope.from_vertices([()], name="simplex(0)")
     verts = [tuple(0 for _ in range(r))]
     verts += [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    halfspaces = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    halfspaces.append(tuple(-1 for _ in range(r)))
-    return Polytope._from_ambient_halfspaces(verts, halfspaces, name=f"simplex({r})")
+    return _generated("simplex", verts, f"simplex({r})")
 
 
 def cube(m: int, n: int) -> Polytope:
@@ -47,12 +57,7 @@ def cube(m: int, n: int) -> Polytope:
     if m < 1 or n < 1:
         raise DomainError("cube needs dimension >= 1 and edge length >= 1")
     verts = [tuple(n * c for c in corner) for corner in iproduct((0, 1), repeat=m)]
-    halfspaces = []
-    for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        halfspaces.append(e)
-        halfspaces.append(tuple(-x for x in e))
-    return Polytope._from_ambient_halfspaces(verts, halfspaces, name=f"cube({m},{n})")
+    return _generated("cube", verts, f"cube({m},{n})")
 
 
 def hypersimplex(k: int, n: int) -> Polytope:
@@ -63,37 +68,13 @@ def hypersimplex(k: int, n: int) -> Polytope:
         tuple(1 if i in chosen else 0 for i in range(n))
         for chosen in combinations(range(n), k)
     ]
-    halfspaces = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        halfspaces.append(e)
-        halfspaces.append(tuple(-x for x in e))
-    return Polytope._from_ambient_halfspaces(
-        verts, halfspaces, name=f"hypersimplex({k},{n})"
-    )
+    return _generated("hypersimplex", verts, f"hypersimplex({k},{n})")
 
 
 def product(P: Polytope, Q: Polytope, name: Optional[str] = None) -> Polytope:
     """Cartesian product in the concatenated ambient space."""
-    nP, nQ = P.ambient_dim, Q.ambient_dim
     verts = [v + w for v in P.vertices for w in Q.vertices]
-    zeroP = (0,) * P.dim
-    zeroQ = (0,) * Q.dim
-    normals = [a + zeroQ for a, _ in P._nfacets]
-    normals += [zeroP + a for a, _ in Q._nfacets]
-    norm = la.AffineNormalization(
-        matrix=tuple(
-            [tuple(row) + (0,) * nQ for row in P._norm.matrix]
-            + [(0,) * nP + tuple(row) for row in Q._norm.matrix]
-        ),
-        base=P._norm.base + Q._norm.base,
-        basis=tuple(
-            [tuple(w) + (0,) * nQ for w in P._norm.basis]
-            + [(0,) * nP + tuple(w) for w in Q._norm.basis]
-        ),
-        dim=P.dim + Q.dim,
-    )
-    return Polytope._from_model(verts, norm, normals, name=name)
+    return _generated("product", verts, name)
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +110,6 @@ class JoinSpec:
 
     summands: tuple[Polytope, ...]
     vertex_matching: tuple[tuple[tuple[int, ...], ...], ...]
-    # shared-normalization data used by the join construction
-    _common_matrix: tuple[tuple[int, ...], ...]
-    _bases: tuple[tuple[int, ...], ...]
-    _normals: tuple[tuple[int, ...], ...]
-    _offsets: tuple[tuple[int, ...], ...]  # offsets[i][a_index]
 
     @classmethod
     def build(cls, summands: Sequence[Polytope]) -> "JoinSpec":
@@ -151,64 +127,44 @@ class JoinSpec:
                 )
         W0 = [list(w) for w in P0._norm.basis]
         A = P0._norm.matrix
-        bases = tuple(min(P.vertices) for P in summands)
 
         cones_per_summand = []
         normal_sets = []
-        offsets_per_summand = []
-        common_normals: Optional[list] = None
-        for P, b in zip(summands, bases):
+        for P in summands:
             # the span directions must agree with summand 0's
             for w in P._norm.basis:
-                if m == 0:
-                    break
                 if la.rank(W0 + [list(w)]) != m:
                     raise DomainError(
                         "summands not strongly isomorphic: affine spans differ"
                     )
             if m == 0:
                 cones_per_summand.append({frozenset(): P.vertices[0]})
-                normal_sets.append(frozenset())
-                offsets_per_summand.append(())
                 continue
-            # transport P's own facet data into the shared coordinates
+            # transport P's facet normals into the shared coordinates
             T = la.mat_mul([list(r) for r in A], la.transpose([list(w) for w in P._norm.basis]))
             if not la.is_unimodular(T):
                 raise DomainError(
                     "summands not strongly isomorphic: affine spans differ"
                 )
-            Tinv = la.unimodular_inverse(T)
-            TinvT = la.transpose(Tinv)
-            shift = tuple(
-                la.dot(row, la.vec_sub(P._norm.base, b)) for row in A
-            )
-            facets = []
-            for a, boff in P._nfacets:
-                a2 = tuple(la.mat_vec(TinvT, a))
-                facets.append((a2, boff + la.dot(a2, shift)))
-            normal_sets.append(frozenset(a for a, _ in facets))
-            if common_normals is None:
-                common_normals = sorted(a for a, _ in facets)
+            TinvT = la.transpose(la.unimodular_inverse(T))
+            normals = [tuple(la.mat_vec(TinvT, a)) for a, _ in P._nfacets]
             # vertex -> maximal cone key
             cone_map = {}
             for vid, v in enumerate(P.vertices):
                 key = frozenset(
-                    P._nfacets[j][0] for j in range(len(P._nfacets))
-                    if vid in P._incidence[j]
+                    a for a, tight in zip(normals, P._incidence) if vid in tight
                 )
-                key = frozenset(tuple(la.mat_vec(TinvT, a)) for a in key)
                 if key in cone_map:
                     raise DomainError(
                         "summands not strongly isomorphic: repeated normal cone"
                     )
                 cone_map[key] = v
             cones_per_summand.append(cone_map)
-            off = dict(facets)
-            if len(off) != len(facets):
+            if len(set(normals)) != len(normals):
                 raise DomainError(
                     "summands not strongly isomorphic: repeated facet normal"
                 )
-            offsets_per_summand.append(off)
+            normal_sets.append(frozenset(normals))
 
         if m > 0:
             ref = normal_sets[0]
@@ -223,27 +179,12 @@ class JoinSpec:
                     raise DomainError(
                         "summands not strongly isomorphic: normal fans differ"
                     )
-            normals = tuple(common_normals)
-            offsets = tuple(
-                tuple(offsets_per_summand[i][a] for a in normals)
-                for i in range(len(summands))
-            )
-        else:
-            normals = ()
-            offsets = tuple(() for _ in summands)
 
         cone_order = sorted(cones_per_summand[0].keys(), key=sorted)
         matching = tuple(
             tuple(cm[key] for key in cone_order) for cm in cones_per_summand
         )
-        return cls(
-            summands=summands,
-            vertex_matching=matching,
-            _common_matrix=tuple(tuple(r) for r in A),
-            _bases=bases,
-            _normals=normals,
-            _offsets=offsets,
-        )
+        return cls(summands=summands, vertex_matching=matching)
 
 
 def projective_join(
@@ -255,47 +196,12 @@ def projective_join(
         spec = JoinSpec.build(spec)
     summands = spec.summands
     k = len(summands) - 1
-    n = summands[0].ambient_dim
-    m = summands[0].dim
-    if k == 0:
-        return Polytope.from_vertices(summands[0].vertices, name=name)
-
-    def height(i: int) -> tuple[int, ...]:
-        return tuple(1 if t == i - 1 else 0 for t in range(k))
-
-    verts = []
-    for i, P in enumerate(summands):
-        h = height(i)
-        for v in P.vertices:
-            verts.append(v + h)
-
-    A = [list(r) for r in spec._common_matrix]
-    b0 = spec._bases[0]
-    S_cols = [
-        la.mat_vec(A, la.vec_sub(spec._bases[i], b0)) for i in range(1, k + 1)
+    verts = [
+        v + tuple(1 if t == i - 1 else 0 for t in range(k))
+        for i, P in enumerate(summands)
+        for v in P.vertices
     ]
-    forward = []
-    for r_i in range(m):
-        forward.append(tuple(A[r_i]) + tuple(-S_cols[t][r_i] for t in range(k)))
-    for t in range(k):
-        forward.append((0,) * n + tuple(1 if s == t else 0 for s in range(k)))
-    basis = [tuple(w) + (0,) * k for w in summands[0]._norm.basis]
-    for i in range(1, k + 1):
-        basis.append(tuple(la.vec_sub(spec._bases[i], b0)) + height(i))
-    norm = la.AffineNormalization(
-        matrix=tuple(forward), base=b0 + (0,) * k, basis=tuple(basis), dim=m + k
-    )
-
-    model_normals = []
-    for a_idx, a in enumerate(spec._normals):
-        beta0 = spec._offsets[0][a_idx]
-        deltas = tuple(beta0 - spec._offsets[i][a_idx] for i in range(1, k + 1))
-        model_normals.append(tuple(a) + deltas)
-    for t in range(k):
-        model_normals.append((0,) * m + tuple(1 if s == t else 0 for s in range(k)))
-    model_normals.append((0,) * m + (-1,) * k)
-
-    out = Polytope._from_model(verts, norm, model_normals, name=name)
-    if out.dim != m + k:
+    out = _generated("projective join", verts, name)
+    if out.dim != summands[0].dim + k:
         raise InternalConsistencyError("projective join has wrong dimension")
     return out

@@ -16,6 +16,7 @@ then verified on the whole vertex set. Desk scale only.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -90,8 +91,6 @@ def find_unimodular_map(
 
     qverts = set(Q._nverts)
     gq = Q.edge_graph()
-
-    import itertools
 
     for b0 in range(len(Q.vertices)):
         if len(gq[b0]) != deg0:

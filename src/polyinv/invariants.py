@@ -50,12 +50,7 @@ def c_t(P: Polytope, t: int) -> int:
     """The alternating face-volume sum with weight (dim F + t)!."""
     if t < 0:
         raise DomainError("t must be a nonnegative integer")
-    r = P.dim
-    total = 0
-    for f in P.face_lattice():
-        sign = -1 if (r - f.dim) % 2 else 1
-        total += sign * _rising(f.dim, t) * vol.normalized_volume(f)
-    return total
+    return sum(c_grade_terms(P, t))
 
 
 def c(P: Polytope) -> int:
@@ -119,14 +114,7 @@ def c_star(P: Polytope) -> Fraction:
 def f_polynomial(P: Polytope) -> list[int]:
     """Coefficients d_0 .. d_r of f(P, n), exact integers, d_r = c(P)."""
     r = P.dim
-    values = []
-    for n in range(1, r + 2):
-        acc = 0
-        for f in P.face_lattice():
-            k = f.dim
-            acc += (-n) ** (r - k) * factorial(k + 1) * vol.lattice_points(f, n)
-        values.append((n, acc))
-    coeffs = vol.interpolate(values)
+    coeffs = vol.interpolate([(n, f_value(P, n)) for n in range(1, r + 2)])
     out = []
     for cf in coeffs:
         if cf.denominator != 1:

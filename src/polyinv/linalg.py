@@ -445,7 +445,8 @@ class AffineNormalization:
     dim: int
 
     def forward(self, point: Sequence[int]) -> Vector:
-        return tuple(dot(row, point) - dot(row, self.base) for row in self.matrix)
+        diff = vec_sub(point, self.base)
+        return tuple(dot(row, diff) for row in self.matrix)
 
     def backward(self, coords: Sequence[int]) -> Vector:
         out = list(self.base)

@@ -1,20 +1,21 @@
 """Integral convex polytopes with exact combinatorics.
 
-A `Polytope` is built from an integer V-representation. Internally every
-polytope carries a normalized model: an affine change of coordinates that
-maps the lattice of its affine span onto Z^dim (see
-`linalg.affine_normalize`). All geometric computations (facets, face
-lattice, volumes, multiplicities, lattice counts) run on that full
-dimensional model, so lower dimensional inputs such as hypersimplices
-inside a hyperplane of Z^n behave exactly like full dimensional ones.
-Reported vertices keep the caller's ambient coordinates.
+Every `Polytope` is built by `Polytope.from_vertices` from an integer
+V-representation; the family generators, products, projective joins and
+dilates all hand it a vertex list. Internally every polytope carries a
+normalized model: an affine change of coordinates that maps the lattice
+of its affine span onto Z^dim (see `linalg.affine_normalize`). All
+geometric computations (facets, face lattice, volumes, multiplicities,
+lattice counts) run on that full dimensional model, so lower dimensional
+inputs such as hypersimplices inside a hyperplane of Z^n behave exactly
+like full dimensional ones. Reported vertices keep the caller's ambient
+coordinates.
 
-Facets of a bare V-representation come from an exact integer double
-description hull on the normalized model (`_hull_facet_normals`), whose
-rays are the facet inequalities. Every candidate normal is still
-validated by sidedness and the rank of its tight set before it becomes a
-facet, and a point is kept as a vertex only if its facet normals span the
-model space.
+Facets come from an exact integer double description hull on the
+normalized model (`_hull_facet_normals`), whose rays are the facet
+inequalities. Every candidate normal is still validated by sidedness and
+the rank of its tight set before it becomes a facet, and a point is kept
+as a vertex only if its facet normals span the model space.
 """
 
 from __future__ import annotations
@@ -84,83 +85,18 @@ class Polytope:
         pts = _clean_points(points)
         norm = la.affine_normalize(pts)
         d = norm.dim
-        if d == 0:
-            return cls._assemble(pts, norm, [], name=name, require_all_extreme=False)
-        model = [norm.forward(p) for p in pts]
-        normals = _hull_facet_normals(model, d)
-        return cls._assemble(
-            pts, norm, normals, name=name, require_all_extreme=False
-        )
-
-    @classmethod
-    def _from_ambient_halfspaces(
-        cls,
-        points: Iterable[Sequence[int]],
-        halfspaces: Iterable[Sequence[int]],
-        name: Optional[str] = None,
-    ) -> "Polytope":
-        """Fast path for families whose supporting normals are known.
-
-        `halfspaces` is a list of ambient inward normal directions; the
-        offsets are recomputed from the vertex set, and candidates whose
-        tight set is not facet sized are dropped. Every input point must
-        turn out extreme.
-        """
-        pts = _clean_points(points)
-        norm = la.affine_normalize(pts)
-        if norm.dim == 0:
-            return cls._assemble(pts, norm, [], name=name, require_all_extreme=True)
-        normals = []
-        for a in halfspaces:
-            restricted = tuple(la.dot(w, a) for w in norm.basis)
-            if any(restricted):
-                normals.append(la.primitive(restricted))
-        return cls._assemble(pts, norm, normals, name=name, require_all_extreme=True)
-
-    @classmethod
-    def _from_model(
-        cls,
-        ambient_vertices: Sequence[Point],
-        norm: la.AffineNormalization,
-        model_normals: Sequence[Point],
-        name: Optional[str] = None,
-    ) -> "Polytope":
-        return cls._assemble(
-            _clean_points(ambient_vertices),
-            norm,
-            [la.primitive(a) for a in model_normals],
-            name=name,
-            require_all_extreme=True,
-        )
-
-    @classmethod
-    def _assemble(
-        cls,
-        pts: list[Point],
-        norm: la.AffineNormalization,
-        candidate_normals: Sequence[Point],
-        name: Optional[str],
-        require_all_extreme: bool,
-    ) -> "Polytope":
-        d = norm.dim
-        ambient = len(pts[0])
         model = [norm.forward(p) for p in pts]
 
         facets: dict[Halfspace, frozenset] = {}
         if d > 0:
-            seen = set()
-            for a0 in candidate_normals:
-                for a in (a0, tuple(-x for x in a0)):
-                    if a in seen:
-                        continue
-                    seen.add(a)
-                    vals = [la.dot(a, y) for y in model]
-                    b = min(vals)
-                    tight = [i for i, v in enumerate(vals) if v == b]
-                    if len(tight) < d:
-                        continue
-                    if la.affine_rank([model[i] for i in tight]) == d - 1:
-                        facets[(a, b)] = frozenset(tight)
+            for a in _hull_facet_normals(model, d):
+                vals = [la.dot(a, y) for y in model]
+                b = min(vals)
+                tight = [i for i, v in enumerate(vals) if v == b]
+                if len(tight) < d:
+                    continue
+                if la.affine_rank([model[i] for i in tight]) == d - 1:
+                    facets[(a, b)] = frozenset(tight)
 
         # extreme points: the active facet normals span the full model space
         keep = []
@@ -169,35 +105,23 @@ class Polytope:
             r = la.rank([list(a) for a in active]) if active else 0
             if r == d:
                 keep.append(i)
-        if d == 0:
-            keep = [0]
-        if require_all_extreme and len(keep) != len(pts):
-            raise InternalConsistencyError(
-                "fast-path construction dropped a point expected to be a vertex"
-            )
 
         order = sorted(keep, key=lambda i: pts[i])
-        vertices = tuple(pts[i] for i in order)
-        nverts = tuple(model[i] for i in order)
         old_to_new = {old: new for new, old in enumerate(order)}
-
         facet_list = sorted(facets.items())
-        nfacets = tuple(f for f, _ in facet_list)
-        incidence = tuple(
-            frozenset(old_to_new[i] for i in tight if i in old_to_new)
-            for _, tight in facet_list
-        )
 
         self = cls(_internal=True)
         self.name = name
-        self.ambient_dim = ambient
+        self.ambient_dim = len(pts[0])
         self.dim = d
-        self.vertices = vertices
+        self.vertices = tuple(pts[i] for i in order)
         self._norm = norm
-        self._nverts = nverts
-        self._nfacets = nfacets
-        self._incidence = incidence
-        self._cache = {}
+        self._nverts = tuple(model[i] for i in order)
+        self._nfacets = tuple(f for f, _ in facet_list)
+        self._incidence = tuple(
+            frozenset(old_to_new[i] for i in tight if i in old_to_new)
+            for _, tight in facet_list
+        )
         return self
 
     # -- basic data ----------------------------------------------------
@@ -412,29 +336,14 @@ class Polytope:
     # -- transformations ---------------------------------------------------
 
     def dilate(self, n: int) -> "Polytope":
-        """The dilate nP, n >= 1: vertices scaled, facet offsets scaled."""
+        """The dilate nP, n >= 1, as the hull of the scaled vertices."""
         if n < 1:
             raise DomainError("dilation factor must be a positive integer")
         if n == 1:
             return self
-        norm = la.AffineNormalization(
-            matrix=self._norm.matrix,
-            base=tuple(n * x for x in self._norm.base),
-            basis=self._norm.basis,
-            dim=self.dim,
+        return Polytope.from_vertices(
+            [tuple(n * x for x in v) for v in self.vertices]
         )
-        scaled = [tuple(n * x for x in v) for v in self.vertices]
-        out = Polytope(_internal=True)
-        out.name = None
-        out.ambient_dim = self.ambient_dim
-        out.dim = self.dim
-        out.vertices = tuple(scaled)
-        out._norm = norm
-        out._nverts = tuple(tuple(n * y for y in w) for w in self._nverts)
-        out._nfacets = tuple((a, n * b) for a, b in self._nfacets)
-        out._incidence = self._incidence
-        out._cache = {}
-        return out
 
     def unimodular_image(
         self, matrix: Sequence[Sequence[int]], shift: Sequence[int] | None = None

@@ -17,9 +17,13 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
-from polyinv.errors import DomainError
+from polyinv.constructions import _generated
+from polyinv.errors import DomainError, InternalConsistencyError
 
 from conftest import segment
+
+
+SHEARED_TRIANGLE = [(0, 0), (2, 1), (1, 3)]
 
 
 def descents(perm):
@@ -113,13 +117,6 @@ class TestHypersimplex:
                 hypersimplex(k, n), hypersimplex(n - k, n)
             )
 
-    def test_fast_path_matches_general_hull(self):
-        for k, n in [(2, 4), (2, 5), (3, 5)]:
-            H = hypersimplex(k, n)
-            G = Polytope.from_vertices(H.vertices)
-            assert G.f_vector == H.f_vector
-            assert G._nfacets == H._nfacets or len(G._nfacets) == len(H._nfacets)
-
     @pytest.mark.parametrize("n", range(2, 8))
     def test_volume_is_eulerian(self, n):
         for k in range(1, n):
@@ -142,13 +139,24 @@ class TestProduct:
         assert unimodular_equivalent(P, cube(2, 1))
 
     def test_f_vector_is_the_convolution(self):
-        P, Q = simplex(2), cube(2, 1)
-        R = product(P, Q)
-        for k in range(R.dim + 1):
-            expected = sum(
-                len(P.faces(i)) * len(Q.faces(k - i)) for i in range(k + 1)
-            )
-            assert len(R.faces(k)) == expected
+        triangle = Polytope.from_vertices(SHEARED_TRIANGLE)
+        pairs = [
+            (simplex(2), cube(2, 1)),
+            (segment(3), hypersimplex(2, 4)),
+            (simplex(0), simplex(3)),
+            (cube(1, 2), simplex(1)),
+            (hypersimplex(1, 3), triangle),
+            (triangle, segment(3)),
+        ]
+        for P, Q in pairs:
+            R = product(P, Q)
+            assert R.n_vertices == P.n_vertices * Q.n_vertices
+            assert R.n_facets == P.n_facets + Q.n_facets
+            convolution = [0] * (P.dim + Q.dim + 1)
+            for i, fp in enumerate(P.f_vector):
+                for j, fq in enumerate(Q.f_vector):
+                    convolution[i + j] += fp * fq
+            assert R.f_vector == tuple(convolution)
 
     def test_matches_general_hull(self):
         R = product(simplex(2), cube(1, 2))
@@ -176,10 +184,19 @@ class TestProjectiveJoin:
         assert J.is_delzant()
 
     def test_join_of_copies_is_product_with_simplex(self):
-        Q = cube(2, 1)
-        for k in (1, 2, 3):
-            J = projective_join([Q] * (k + 1))
-            assert unimodular_equivalent(J, product(simplex(k), Q))
+        for Q in (
+            segment(2),
+            simplex(2),
+            cube(2, 1),
+            hypersimplex(1, 3),
+            Polytope.from_vertices(SHEARED_TRIANGLE),
+        ):
+            for k in (1, 2, 3):
+                J = projective_join([Q] * (k + 1))
+                assert J.dim == Q.dim + k
+                assert J.n_facets == Q.n_facets + k + 1
+                assert unimodular_equivalent(J, product(simplex(k), Q))
+                assert unimodular_equivalent(J, product(Q, simplex(k)))
 
     def test_join_dimension(self):
         J = projective_join([cube(2, 1)] * 4)
@@ -229,3 +246,31 @@ class TestProjectiveJoin:
         # k = 2 with square fibers gives r = 4, below the classified range
         J = projective_join([cube(2, 1)] * 3)
         assert c(J) > 0
+
+
+class TestGeneratedVertexCheck:
+    def test_dropped_point_is_an_internal_error(self):
+        with pytest.raises(InternalConsistencyError, match="demo construction"):
+            _generated("demo", [(0,), (1,), (2,)], None)
+        assert _generated("demo", [(0,), (2,)], None).n_vertices == 2
+
+
+class TestDilate:
+    @pytest.mark.parametrize(
+        "P",
+        [
+            simplex(2),
+            cube(2, 1),
+            hypersimplex(2, 4),
+            Polytope.from_vertices(SHEARED_TRIANGLE),
+            Polytope.from_vertices([(0, 0), (2, 2)]),
+        ],
+    )
+    def test_dilate_is_the_hull_of_scaled_vertices(self, P):
+        for n in (2, 3):
+            D = P.dilate(n)
+            G = Polytope.from_vertices([tuple(n * x for x in v) for v in P.vertices])
+            assert D.vertices == G.vertices
+            assert D._nfacets == G._nfacets
+            assert D.name is None
+            assert D.f_vector == P.f_vector

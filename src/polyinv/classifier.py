@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg as la
-from .constructions import JoinSpec, projective_join, simplex
+from .constructions import JoinSpec, projective_join
 from .equivalence import unimodular_equivalent
 from .errors import DomainError, InternalConsistencyError
 from .invariants import c as c_invariant, c_star, dual_degree
@@ -54,13 +54,13 @@ class JoinDecomposition:
     as full-dimensional polytopes in one shared normalization so that
     `projective_join(fibers)` rebuilds the input up to unimodular
     equivalence. `defect` is r for the simplex case and 2k - r otherwise.
+    `to_dict` writes the image as the document of `simplex(k)`.
     """
 
     k: int
     defect: int
     projection_matrix: tuple[tuple[int, ...], ...]
     projection_shift: tuple[int, ...]
-    simplex_image: Polytope
     fibers: tuple[Polytope, ...]
 
     def __post_init__(self):
@@ -74,6 +74,7 @@ class JoinDecomposition:
             raise InternalConsistencyError("defect parity violated")
 
     def to_dict(self) -> dict:
+        simplex_vertices = sorted(_standard_simplex_vertices(self.k))
         return {
             "k": self.k,
             "defect": self.defect,
@@ -81,7 +82,11 @@ class JoinDecomposition:
                 "matrix": [list(r) for r in self.projection_matrix],
                 "shift": list(self.projection_shift),
             },
-            "simplex_image": self.simplex_image.to_dict(),
+            "simplex_image": {
+                "name": f"simplex({self.k})",
+                "ambient_dim": self.k,
+                "vertices": [list(v) for v in simplex_vertices],
+            },
             "fibers": [f.to_dict() for f in self.fibers],
         }
 
@@ -131,7 +136,7 @@ def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
     M = la.unimodular_inverse(cols)
     shift = tuple(-x for x in la.mat_vec(M, v0))
     images = {la.vec_add(la.mat_vec(M, v), shift) for v in P._nverts}
-    if images != _standard_simplex_vertices(r):
+    if images != set(_standard_simplex_vertices(r)):
         return None
     fibers = tuple(Polytope.from_vertices([()]) for _ in range(r + 1))
     rebuilt = projective_join(JoinSpec.build(fibers))
@@ -142,16 +147,13 @@ def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
         defect=r,
         projection_matrix=tuple(tuple(row) for row in M),
         projection_shift=shift,
-        simplex_image=simplex(r),
         fibers=fibers,
     )
 
 
-def _standard_simplex_vertices(k: int) -> set:
-    out = {tuple(0 for _ in range(k))}
-    for i in range(k):
-        out.add(tuple(1 if j == i else 0 for j in range(k)))
-    return out
+def _standard_simplex_vertices(k: int) -> list:
+    """0, e_1, ..., e_k in Z^k."""
+    return [tuple(int(j == i - 1) for j in range(k)) for i in range(k + 1)]
 
 
 def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
@@ -162,7 +164,7 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
     rows = [list(a) for a in normals]
     if la.rank(rows) != k:
         return None
-    if la.span_lattice_index(rows) != 1:
+    if la.lattice_index(rows[1:]) != 1:
         return None
 
     proj_rows = [P._nfacets[j][0] for j in J[1:]]
@@ -171,16 +173,13 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
         tuple(la.dot(a, v) + s for a, s in zip(proj_rows, shift))
         for v in P._nverts
     ]
-    if set(images) != _standard_simplex_vertices(k):
+    if set(images) != set(_standard_simplex_vertices(k)):
         return None
 
     groups: dict[tuple, list[int]] = {}
     for vid, img in enumerate(images):
         groups.setdefault(img, []).append(vid)
-    order = [tuple(0 for _ in range(k))] + [
-        tuple(1 if j == i else 0 for j in range(k)) for i in range(k)
-    ]
-    fiber_vids = [groups[img] for img in order]
+    fiber_vids = [groups[img] for img in _standard_simplex_vertices(k)]
 
     # each fiber must be a face of P of dimension r - k
     for vids in fiber_vids:
@@ -221,7 +220,6 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
         defect=2 * k - r,
         projection_matrix=tuple(tuple(a) for a in proj_rows),
         projection_shift=shift,
-        simplex_image=simplex(k),
         fibers=tuple(fibers),
     )
 

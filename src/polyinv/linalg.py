@@ -126,17 +126,6 @@ def rank(M: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Affine dimension of a point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [list(vec_sub(p, base)) for p in points[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -374,11 +363,6 @@ def smith_normal_form(
     return U, D, V
 
 
-def smith_diagonal(M: Sequence[Sequence[int]]) -> list[int]:
-    _, D, _ = _smith_engine(M)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
 # ---------------------------------------------------------------------------
 # primitive vectors and lattice indices
 
@@ -397,32 +381,26 @@ def lattice_index(gens: Sequence[Sequence[int]]) -> int:
     """Index of the lattice spanned by `gens` inside (span of gens) cap Z^n.
 
     Equals the number of lattice points in the half-open parallelotope
-    spanned by the generators, and the product of the nonzero Smith
-    diagonal entries of the generator matrix.
+    spanned by the generators, and the product of the Smith diagonal
+    entries of the generator matrix. Unimodular column operations keep
+    the index; extended gcd steps bring the k generators to [L | 0] with
+    L lower triangular, whose index is |det L|.
     """
-    gens = [list(g) for g in gens]
-    if not gens:
-        return 1
-    diag = smith_diagonal(gens)
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) != len(gens):
+    a = [list(g) for g in gens]
+    if a and len(a) > len(a[0]):
         raise DomainError("generators not independent")
-    out = 1
-    for d in nonzero:
-        out *= d
-    return out
-
-
-def span_lattice_index(gens: Sequence[Sequence[int]]) -> int:
-    """Like `lattice_index` but tolerates linearly dependent generators."""
-    gens = [list(g) for g in gens]
-    if not gens:
-        return 1
-    out = 1
-    for d in smith_diagonal(gens):
-        if d != 0:
-            out *= d
-    return out
+    index = 1
+    for i, row in enumerate(a):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                g, x, y = _xgcd(row[i], row[j])
+                p, q = row[i] // g, row[j] // g
+                for r in a[i:]:
+                    r[i], r[j] = x * r[i] + y * r[j], p * r[j] - q * r[i]
+        index *= row[i]
+    if index == 0:
+        raise DomainError("generators not independent")
+    return abs(index)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ normalized model (`_hull_facet_normals`), whose rays are the facet
 inequalities. Every candidate normal is still validated by sidedness and
 the rank of its tight set before it becomes a facet, and a point is kept
 as a vertex only if its facet normals span the model space.
+
+The face lattice comes from the facet incidences in one graded pass, top
+down: the facets of a face are the inclusion-maximal nonempty
+intersections of its vertex set with the facets of P not containing it.
+A face's dimension is its level in that pass; its children are stored
+with it.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ class Face:
 
     Identified by the sorted ids of the owner's vertices it contains and
     the sorted ids of the facets containing it. The improper face (the
-    polytope itself) has an empty facet id list. Dimension is the affine
-    dimension of the vertex set.
+    polytope itself) has an empty facet id list. Dimension is the face's
+    level in the graded face lattice, which equals the affine dimension
+    of its vertex set.
     """
 
     owner: "Polytope" = field(compare=False, repr=False)
@@ -95,7 +102,8 @@ class Polytope:
                 tight = [i for i, v in enumerate(vals) if v == b]
                 if len(tight) < d:
                     continue
-                if la.affine_rank([model[i] for i in tight]) == d - 1:
+                diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
+                if la.rank(diffs) == d - 1:
                     facets[(a, b)] = frozenset(tight)
 
         # extreme points: the active facet normals span the full model space
@@ -203,58 +211,65 @@ class Polytope:
     def face_lattice(self) -> tuple[Face, ...]:
         """All nonempty faces, graded by dimension, including P itself."""
         if "faces" not in self._cache:
-            self._cache["faces"] = self._build_face_lattice()
+            self._cache["faces"], self._cache["children"] = self._build_face_lattice()
         return self._cache["faces"]
 
-    def _build_face_lattice(self) -> tuple[Face, ...]:
-        nv = len(self.vertices)
-        top = frozenset(range(nv))
-        found: dict[frozenset, frozenset] = {}
-        top_facets = frozenset(
-            j for j, t in enumerate(self._incidence) if t == top
-        )
-        found[top] = top_facets
-        queue = [top]
-        while queue:
-            s = queue.pop()
-            j_in = found[s]
-            for j, t in enumerate(self._incidence):
-                if j in j_in:
-                    continue
-                s2 = s & t
-                if not s2 or s2 in found:
-                    continue
-                found[s2] = frozenset(
-                    jj for jj, tt in enumerate(self._incidence) if s2 <= tt
-                )
-                queue.append(s2)
+    def _build_face_lattice(self):
+        """(faces sorted by (dim, vertex_ids), vertex_ids -> children).
 
-        faces = []
-        for vset, jset in found.items():
-            pts = [list(self._nverts[i]) for i in sorted(vset)]
-            fdim = la.affine_rank(pts)
-            faces.append(
-                Face(
-                    owner=self,
-                    vertex_ids=tuple(sorted(vset)),
-                    facet_ids=tuple(sorted(jset)),
-                    dim=fdim,
-                )
-            )
-        faces.sort(key=lambda f: (f.dim, f.vertex_ids))
+        Built top down, one level per dimension. The facets of a face F
+        are the inclusion-maximal nonempty sets F & t over the facet
+        incidences t that do not contain F, and the facets of P
+        containing such a child are those of F plus the t that cut it.
+        """
+        incidence = self._incidence
+        top = frozenset(range(len(self.vertices)))
+        facet_ids = {top: frozenset(j for j, t in enumerate(incidence) if top <= t)}
+        kids_of: dict[frozenset, list] = {}
+        # levels[i] holds the faces of dimension dim - i; it grows as it is walked
+        levels = [{top: None}]
+        for level in levels:
+            below: dict[frozenset, None] = {}
+            for s in level:
+                cuts: dict[frozenset, set] = {}
+                for j, t in enumerate(incidence):
+                    if j not in facet_ids[s] and (cut := s & t):
+                        cuts.setdefault(cut, set()).add(j)
+                kids_of[s] = [c for c in cuts if not any(c < other for other in cuts)]
+                for c in kids_of[s]:
+                    if c not in facet_ids:
+                        facet_ids[c] = facet_ids[s] | cuts[c]
+                    elif c not in below:
+                        raise InternalConsistencyError(
+                            "face appears at two levels of the face lattice"
+                        )
+                    below[c] = None
+            if below:
+                levels.append(below)
+
+        by_set = {
+            s: Face(self, tuple(sorted(s)), tuple(sorted(facet_ids[s])), self.dim - i)
+            for i, level in enumerate(levels)
+            for s in level
+        }
+        faces = tuple(sorted(by_set.values(), key=lambda f: (f.dim, f.vertex_ids)))
+        children = {
+            by_set[s].vertex_ids: tuple(by_set[c] for c in sorted(kids, key=sorted))
+            for s, kids in kids_of.items()
+        }
 
         # guardrails: these hold for every polytope and catch a wrong or
         # incomplete facet description at first use
-        for i in range(nv):
-            if Face(self, (i,), (), 0) not in faces:
-                raise InternalConsistencyError("vertex missing from face lattice")
+        vertices = [f.vertex_ids for f in faces if f.dim == 0]
+        if vertices != [(i,) for i in range(len(self.vertices))]:
+            raise InternalConsistencyError("vertex missing from face lattice")
         euler = sum((-1) ** f.dim for f in faces)
         if euler != 1:
             raise InternalConsistencyError("Euler relation failed")
         for f in faces:
             if len(f.facet_ids) == 0 and f.dim != self.dim:
                 raise InternalConsistencyError("improper face has wrong dimension")
-        return tuple(faces)
+        return faces, children
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces; empty outside 0..dim."""
@@ -266,24 +281,10 @@ class Polytope:
         return self.faces(self.dim)[0]
 
     def face_children(self, face: Face) -> tuple[Face, ...]:
-        """Faces of dimension face.dim - 1 contained in `face`."""
+        """Faces of dimension face.dim - 1 contained in `face`, sorted by
+        vertex ids."""
         if "children" not in self._cache:
-            by_dim: dict[int, list[Face]] = {}
-            for f in self.face_lattice():
-                by_dim.setdefault(f.dim, []).append(f)
-            children: dict[tuple, tuple] = {}
-            for f in self.face_lattice():
-                if f.dim == 0:
-                    children[f.vertex_ids] = ()
-                    continue
-                fset = set(f.vertex_ids)
-                kids = tuple(
-                    g
-                    for g in by_dim.get(f.dim - 1, [])
-                    if fset.issuperset(g.vertex_ids)
-                )
-                children[f.vertex_ids] = kids
-            self._cache["children"] = children
+            self.face_lattice()
         return self._cache["children"][face.vertex_ids]
 
     def edge_graph(self) -> dict[int, tuple[int, ...]]:
@@ -371,31 +372,7 @@ class Polytope:
                 return False
         return True
 
-    # -- per-face model data (used by volume and counting) ----------------
-
-    def _face_model(self, face: Face):
-        """(normalization, vertex coords, inequalities) of a face.
-
-        Coordinates are a lattice normalization of the face's own span
-        inside the polytope's model; inequalities are the restrictions of
-        the model facets not containing the face, and cut the face out of
-        its span exactly.
-        """
-        key = ("fmodel", face.vertex_ids)
-        if key not in self._cache:
-            pts = [self._nverts[i] for i in face.vertex_ids]
-            norm = la.affine_normalize(pts)
-            coords = {i: norm.forward(self._nverts[i]) for i in face.vertex_ids}
-            ineqs = []
-            fset = set(face.facet_ids)
-            for j, (a, b) in enumerate(self._nfacets):
-                if j in fset:
-                    continue
-                ra = tuple(la.dot(w, a) for w in norm.basis)
-                rb = b - la.dot(a, norm.base)
-                ineqs.append((ra, rb))
-            self._cache[key] = (norm, coords, tuple(ineqs))
-        return self._cache[key]
+    # -- triangulation (used by volumes) ------------------------------------
 
     def _triangulation(self, face: Face) -> tuple[tuple[int, ...], ...]:
         """Pulling triangulation of a face, as tuples of vertex ids.

@@ -7,13 +7,16 @@ invariant in this package. A vertex has nvol 1.
 
 Volumes are computed by an exact pulling triangulation (cone from the
 lexicographically smallest vertex over the facets avoiding it,
-recursively), summing |det| of the edge matrices of the simplices.
+recursively). Each simplex contributes the `lattice_index` of its edge
+rows in the polytope's model Z^dim, which is its normalized volume in
+the lattice of its own span; no face needs a coordinate change.
 
-Lattice counts use a bounding-box scan of the normalized model with
-exact inequality tests. No floating point, no approximation. Counting
-runs in the ambient lattice of the dilated face: for a face F and a
-dilation n the count is |nF cap Z^n|, which agrees with counting in the
-span lattice of F whenever that span passes through the origin.
+Lattice counts use a bounding-box scan of a lattice normalization of the
+face's span (`_face_model`) with exact inequality tests. No floating
+point, no approximation. Counting runs in the ambient lattice of the
+dilated face: for a face F and a dilation n the count is |nF cap Z^n|,
+which agrees with counting in the span lattice of F whenever that span
+passes through the origin.
 """
 
 from __future__ import annotations
@@ -43,18 +46,20 @@ def normalized_volume(face: FaceLike) -> int:
     P = face.owner
     key = ("nvol", face.vertex_ids)
     if key not in P._cache:
-        if face.dim == 0:
-            P._cache[key] = 1
-        else:
-            norm, coords, _ = P._face_model(face)
-            total = 0
-            for simplex in P._triangulation(face):
-                base = coords[simplex[0]]
-                rows = [list(la.vec_sub(coords[v], base)) for v in simplex[1:]]
-                total += abs(la.det(rows))
-            if total <= 0:
-                raise InternalConsistencyError("face has nonpositive volume")
-            P._cache[key] = total
+        total = 0
+        for simplex in P._triangulation(face):
+            base = P._nverts[simplex[0]]
+            rows = [la.vec_sub(P._nverts[v], base) for v in simplex[1:]]
+            try:
+                total += la.lattice_index(rows)
+            except DomainError:
+                raise InternalConsistencyError(
+                    f"degenerate simplex {simplex} in the triangulation"
+                    f" of face {face.vertex_ids}"
+                ) from None
+        if total <= 0:
+            raise InternalConsistencyError("face has nonpositive volume")
+        P._cache[key] = total
     return P._cache[key]
 
 
@@ -76,12 +81,27 @@ def lattice_points(face: FaceLike, n: int) -> int:
     return P._cache[key]
 
 
+def _face_model(P: Polytope, face: Face):
+    """(vertex coords, inequalities) of a face in a lattice normalization
+    of its span; the restricted facets not containing the face cut it out."""
+    key = ("fmodel", face.vertex_ids)
+    if key not in P._cache:
+        norm = la.affine_normalize([P._nverts[i] for i in face.vertex_ids])
+        coords = [norm.forward(P._nverts[i]) for i in face.vertex_ids]
+        ineqs = []
+        for j, (a, b) in enumerate(P._nfacets):
+            if j not in face.facet_ids:
+                ra = tuple(la.dot(w, a) for w in norm.basis)
+                ineqs.append((ra, b - la.dot(a, norm.base)))
+        P._cache[key] = (coords, ineqs)
+    return P._cache[key]
+
+
 def _count_dilate(P: Polytope, face: Face, n: int) -> int:
     if face.dim == 0:
         return 1
-    _, coords, ineqs = P._face_model(face)
-    pts = [coords[i] for i in face.vertex_ids]
-    lo, hi = la.bounding_box(pts)
+    coords, ineqs = _face_model(P, face)
+    lo, hi = la.bounding_box(coords)
     d = len(lo)
     lo = [n * x for x in lo]
     hi = [n * x for x in hi]

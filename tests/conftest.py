@@ -6,11 +6,22 @@ All randomness is seeded; the corpora are identical across runs.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from polyinv import Polytope, cube, hypersimplex, product, projective_join, simplex
+
+
+def subprocess_env():
+    """os.environ with this checkout's src first on PYTHONPATH, so that a
+    child `python -m polyinv` imports the working tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def segment(length, name=None):

@@ -48,7 +48,7 @@ from polyinv.cli import CliConfig, run
 from polyinv.invariants import c_grade_terms
 
 import oracles
-from conftest import segment
+from conftest import segment, subprocess_env
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "artifacts"
 
@@ -507,8 +507,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         "--dim",
         "4",
     ]
-    r1 = subprocess.run(cmd, capture_output=True, check=True)
-    r2 = subprocess.run(cmd, capture_output=True, check=True)
+    env = subprocess_env()
+    r1 = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, check=True, env=env)
     subprocess_ok = r1.stdout == r2.stdout
     elapsed = time.perf_counter() - t0
     ok = in_process_ok and subprocess_ok

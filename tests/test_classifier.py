@@ -78,7 +78,9 @@ class TestDecomposeJoin:
             )
             for v in prism._nverts
         }
-        assert images == {tuple(w) for w in dec.simplex_image.vertices}
+        image = dec.to_dict()["simplex_image"]
+        assert image == simplex(dec.k).to_dict()
+        assert images == {tuple(w) for w in image["vertices"]}
 
     def test_round_trip_corpus(self, join_corpus):
         for J, k, r in join_corpus:

@@ -7,6 +7,8 @@ import pytest
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError
 
+from conftest import subprocess_env
+
 TRI = json.dumps(
     {"name": "tri", "ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 ).encode()
@@ -199,8 +201,9 @@ class TestDeterminism:
             "--dim",
             "3",
         ]
-        r1 = subprocess.run(cmd, capture_output=True, check=True)
-        r2 = subprocess.run(cmd, capture_output=True, check=True)
+        env = subprocess_env()
+        r1 = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        r2 = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert r1.stdout == r2.stdout
 
     def test_table_mode_deterministic(self):

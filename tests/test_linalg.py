@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,19 +153,23 @@ class TestLatticeIndex:
     def test_dependent_generators(self):
         with pytest.raises(DomainError, match="not independent"):
             la.lattice_index([(1, 0), (2, 0)])
+        with pytest.raises(DomainError, match="not independent"):
+            la.lattice_index([(1,), (2,)])
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         st.lists(
             st.lists(st.integers(-4, 4), min_size=3, max_size=3),
             min_size=1,
-            max_size=2,
+            max_size=3,
         )
     )
     def test_matches_brute_force(self, gens):
         if la.rank([list(g) for g in gens]) != len(gens):
             return
         idx = la.lattice_index(gens)
+        _, D, _ = la.smith_normal_form(gens)
+        assert idx == math.prod(D[i][i] for i in range(len(gens)))
         if idx <= 50:
             assert idx == oracles.parallelotope_points(gens)
 

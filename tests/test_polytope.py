@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinv import Polytope, cube, hypersimplex, simplex
-from polyinv.errors import DomainError
+from polyinv.errors import DomainError, InternalConsistencyError
 
 import oracles
 from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS
@@ -102,6 +102,7 @@ class TestFaceLattice:
             expected = oracles.face_vertex_sets(P.vertices)
             got = {frozenset(f.vertex_ids) for f in P.face_lattice()}
             assert got == expected, P.name
+            assert_graded_lattice(P)
 
     def test_randomized_hulls_match_oracle(self):
         import random
@@ -116,6 +117,43 @@ class TestFaceLattice:
             P = Polytope.from_vertices(sorted(pts))
             got = {frozenset(f.vertex_ids) for f in P.face_lattice()}
             assert got == oracles.face_vertex_sets(P.vertices), (trial, pts)
+            assert_graded_lattice(P)
+
+
+def assert_graded_lattice(P):
+    """Each face's level is the affine dimension of its vertices, and its
+    children are the faces one level down whose vertices it contains."""
+    faces = P.face_lattice()
+    for f in faces:
+        assert f.dim == oracles.affine_dim(f.vertices), (P.name, f.vertex_ids)
+        expected = tuple(
+            g
+            for g in faces
+            if g.dim == f.dim - 1 and set(g.vertex_ids) <= set(f.vertex_ids)
+        )
+        assert P.face_children(f) == expected, (P.name, f.vertex_ids)
+
+
+class TestFaceLatticeGuardrails:
+    """A wrong facet incidence fails at the first use of the lattice."""
+
+    def test_dropped_facet_misses_a_vertex(self):
+        P = cube(2, 1)
+        P._incidence = P._incidence[1:]
+        with pytest.raises(InternalConsistencyError, match="vertex missing"):
+            P.face_lattice()
+
+    def test_face_at_two_levels(self):
+        P = cube(2, 1)
+        P._incidence = (P._incidence[0] ^ {0},) + P._incidence[1:]
+        with pytest.raises(InternalConsistencyError, match="two levels"):
+            P.face_lattice()
+
+    def test_euler_relation(self):
+        P = hypersimplex(2, 4)
+        P._incidence = P._incidence[1:]
+        with pytest.raises(InternalConsistencyError, match="Euler"):
+            P.face_lattice()
 
 
 @st.composite
@@ -316,7 +354,8 @@ class TestJsonRoundtrip:
             doc = P.to_dict()
             Q = Polytope.from_dict(doc)
             assert Q.vertices == P.vertices
-            assert Q._nfacets == P._nfacets or Q.f_vector == P.f_vector
+            assert Q._nfacets == P._nfacets
+            assert Q.f_vector == P.f_vector
 
     @pytest.mark.parametrize(
         "doc,field",

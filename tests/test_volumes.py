@@ -14,7 +14,7 @@ from polyinv import (
     simplex,
     volume,
 )
-from polyinv.errors import DomainError
+from polyinv.errors import DomainError, InternalConsistencyError
 
 import oracles
 from conftest import UNIMODULAR_TRANSFORMS
@@ -61,6 +61,12 @@ class TestNormalizedVolume:
             assert normalized_volume(P) == oracles.oracle_normalized_volume(
                 P.vertices
             ), P.name
+            if P.dim > 3:
+                continue
+            for f in P.face_lattice()[:-1]:  # the proper faces
+                assert normalized_volume(f) == oracles.oracle_normalized_volume(
+                    f.vertices
+                ), (P.name, f.vertex_ids)
 
     def test_invariant_under_unimodular_maps(self, small_corpus):
         for P in small_corpus:
@@ -68,6 +74,13 @@ class TestNormalizedVolume:
                 assert normalized_volume(P.unimodular_image(M, t)) == (
                     normalized_volume(P)
                 )
+
+    def test_degenerate_triangulation_simplex_raises(self):
+        P = cube(3, 1)
+        # vertices 0..3 span the facet x_1 = 0, not a 3-simplex
+        P._cache[("tri", P.top_face().vertex_ids)] = ((0, 1, 2, 3),)
+        with pytest.raises(InternalConsistencyError, match="degenerate simplex"):
+            normalized_volume(P)
 
     def test_additive_over_a_split(self):
         # [0,3] x [0,1] split along x = 1 into two rectangles

@@ -29,14 +29,14 @@ from typing import Optional
 from . import linalg as la
 from .constructions import JoinSpec, projective_join
 from .equivalence import unimodular_equivalent
-from .errors import DomainError, InternalConsistencyError
-from .invariants import c as c_invariant, c_star, dual_degree
+from .errors import DomainError, InternalConsistencyError, broken_identity
+from .invariants import c, c_star, dual_degree
 from .polytope import Polytope
 
 
 def is_defect_polytope(P: Polytope) -> bool:
     """True iff P is Delzant and c(P) = 0."""
-    return P.is_delzant() and c_invariant(P) == 0
+    return P.is_delzant() and c(P) == 0
 
 
 def _k_min(r: int) -> int:
@@ -103,7 +103,7 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
         raise DomainError("join decomposition requires a Delzant polytope")
     if P.dim < 2:
         raise DomainError("join decomposition requires dimension >= 2")
-    if c_invariant(P) != 0:
+    if c(P) != 0:
         return None
     r = P.dim
 
@@ -260,9 +260,8 @@ def classify(P: Polytope) -> ClassificationReport:
     """Full defect classification of an arbitrary integral polytope."""
     simple = P.is_simple()
     delzant = P.is_delzant()
-    cval = c_invariant(P)
+    cval = c(P)
     cstar = c_star(P) if simple else None
-    notes = []
 
     if P.dim == 1:
         return ClassificationReport(
@@ -275,6 +274,7 @@ def classify(P: Polytope) -> ClassificationReport:
             notes=("dimension-1 polytopes sit outside the defect classification",),
         )
     if not delzant:
+        notes = []
         if cval == 0:
             notes.append(
                 "c = 0 on a non-Delzant polytope: candidate join structure "
@@ -302,7 +302,10 @@ def classify(P: Polytope) -> ClassificationReport:
             decomposition=dec,
         )
     if cval < 0:
-        notes.append("negative c on a Delzant polytope; this should be impossible")
+        # c >= 0 on every Delzant polytope by the source paper
+        raise broken_identity(
+            f"c = {cval} is negative on a Delzant polytope", P.top_face()
+        )
     return ClassificationReport(
         dim=P.dim,
         is_simple=simple,
@@ -311,5 +314,4 @@ def classify(P: Polytope) -> ClassificationReport:
         c_star=cstar,
         verdict="non-defect",
         dual_degree=dual_degree(P),
-        notes=tuple(notes),
     )

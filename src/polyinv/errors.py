@@ -21,3 +21,12 @@ class NotSimpleError(DomainError):
 
 class InternalConsistencyError(PolyinvError):
     """An exact identity that must hold by construction failed."""
+
+
+def broken_identity(identity: str, face) -> InternalConsistencyError:
+    """The error for an identity that failed on a face: it names the
+    identity, the owning polytope (or "unnamed") and the face's vertex ids."""
+    name = face.owner.name or "unnamed"
+    return InternalConsistencyError(
+        f"{identity} (polytope {name}, face {face.vertex_ids})"
+    )

@@ -18,12 +18,15 @@ when the polytope is Delzant. It is returned as an exact rational; it is
 not integral for every simple polytope (the smooth-case argument that
 would force integrality needs the jet sheaf to be locally free).
 
-f_polynomial(P) evaluates
+f_polynomial(P) expands
 
     f(P, n) = sum_k (-n)^(r-k) (k+1)! sum_{F in P(k)} |Z^F cap nF|
 
-at n = 1..r+1 and interpolates exactly; the coefficients are asserted
-integral and the leading one equals c(P).
+as a polynomial: each face contributes its Ehrhart polynomial, built
+from volumes and reciprocity (`volumes.scaled_ehrhart`), in integers
+scaled by r!. The coefficients are asserted integral and the leading
+one equals c(P). f_value counts the dilates directly and is the
+independent check of that expansion.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from math import factorial
 from typing import Optional, Sequence, Union
 
 from . import volumes as vol
-from .errors import DomainError, InternalConsistencyError, NotSimpleError
+from .errors import (
+    DomainError,
+    InternalConsistencyError,
+    NotSimpleError,
+    broken_identity,
+)
 from .polytope import Face, Polytope
 from .linalg import lattice_index
 
@@ -112,20 +120,27 @@ def c_star(P: Polytope) -> Fraction:
 
 
 def f_polynomial(P: Polytope) -> list[int]:
-    """Coefficients d_0 .. d_r of f(P, n), exact integers, d_r = c(P)."""
+    """Coefficients d_0 .. d_r of f(P, n), exact integers, d_r = c(P).
+
+    Face F of dimension k adds (-1)^(r-k) (k+1)! n^(r-k) L_F(n)."""
     r = P.dim
-    coeffs = vol.interpolate([(n, f_value(P, n)) for n in range(1, r + 2)])
+    scaled = vol.scaled_ehrhart(P)
+    total = [0] * (r + 1)
+    for f in P.face_lattice():
+        k = f.dim
+        w = (-1) ** (r - k) * factorial(k + 1)
+        for j, a in enumerate(scaled[f.vertex_ids]):
+            total[j + r - k] += w * a
     out = []
-    for cf in coeffs:
-        if cf.denominator != 1:
-            raise InternalConsistencyError(
-                "f-polynomial interpolation produced a non-integer coefficient"
+    for i, t in enumerate(total):
+        d, rem = divmod(t, factorial(r))  # `scaled` holds r! L_F
+        if rem:
+            raise broken_identity(
+                f"f-polynomial coefficient d_{i} is not an integer", P.top_face()
             )
-        out.append(int(cf))
-    while len(out) < r + 1:
-        out.append(0)
+        out.append(d)
     if out[r] != c(P):
-        raise InternalConsistencyError("leading f-coefficient differs from c(P)")
+        raise broken_identity("leading f-coefficient differs from c(P)", P.top_face())
     return out
 
 

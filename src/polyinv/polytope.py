@@ -225,6 +225,8 @@ class Polytope:
         incidence = self._incidence
         top = frozenset(range(len(self.vertices)))
         facet_ids = {top: frozenset(j for j, t in enumerate(incidence) if top <= t)}
+        if facet_ids[top]:
+            raise InternalConsistencyError("the top face lies on a facet")
         kids_of: dict[frozenset, list] = {}
         # levels[i] holds the faces of dimension dim - i; it grows as it is walked
         levels = [{top: None}]
@@ -266,9 +268,6 @@ class Polytope:
         euler = sum((-1) ** f.dim for f in faces)
         if euler != 1:
             raise InternalConsistencyError("Euler relation failed")
-        for f in faces:
-            if len(f.facet_ids) == 0 and f.dim != self.dim:
-                raise InternalConsistencyError("improper face has wrong dimension")
         return faces, children
 
     def faces(self, k: int) -> tuple[Face, ...]:

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from polyinv import (
     Polytope,
     c,
+    classifier,
     classify,
     cube,
     decompose_join,
@@ -13,7 +16,8 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
-from polyinv.errors import DomainError
+from polyinv.cli import CliConfig, run
+from polyinv.errors import DomainError, InternalConsistencyError
 
 from conftest import TRIANGLE_HALF, segment
 
@@ -137,3 +141,19 @@ class TestClassify:
         rep = classify(simplex(0))
         assert rep.verdict == "non-defect"
         assert rep.c == 1
+
+
+class TestNegativeC:
+    """c >= 0 on Delzant polytopes; a negative value is an internal error."""
+
+    def test_raises(self, monkeypatch):
+        monkeypatch.setattr(classifier, "c", lambda P: -1)
+        with pytest.raises(InternalConsistencyError, match="negative on a Delzant"):
+            classify(cube(2, 1))
+
+    def test_cli_exit_code(self, monkeypatch):
+        monkeypatch.setattr(classifier, "c", lambda P: -1)
+        square = json.dumps(cube(2, 1).to_dict()).encode()
+        code, out = run(CliConfig(command="classify"), square)
+        assert code == 3
+        assert b"c = -1 is negative on a Delzant polytope" in out

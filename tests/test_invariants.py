@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from polyinv import (
     report,
     simplex,
 )
-from polyinv.errors import DomainError, NotSimpleError
+from polyinv.errors import DomainError, InternalConsistencyError, NotSimpleError
 from polyinv.invariants import c_grade_terms
 
 import oracles
@@ -191,6 +192,44 @@ class TestFPolynomial:
                 direct = f_value(P, n)
                 interp = sum(coef * n**i for i, coef in enumerate(d))
                 assert direct == interp, P.name
+
+    def test_non_integral_coefficient_is_caught(self):
+        P = cube(2, 1)
+        f_polynomial(P)
+        P._cache["ehrhart"][(0,)] = (3,)  # 3/2 lattice points at n = 0
+        with pytest.raises(InternalConsistencyError, match="not an integer") as err:
+            f_polynomial(P)
+        assert "polytope cube(2,1), face (0, 1, 2, 3)" in str(err.value)
+
+    def test_leading_coefficient_is_checked_against_c(self):
+        P = cube(2, 1)
+        f_polynomial(P)
+        P._cache["ehrhart"][(0, 1, 2, 3)] = (2, 4, 4)  # area 2 in place of 1
+        with pytest.raises(InternalConsistencyError, match="differs from c"):
+            f_polynomial(P)
+
+
+class TestNoHang:
+    """Small inputs whose dilates have huge bounding boxes: the
+    structural Ehrhart build counts no face of dimension <= 2 and the
+    3-face once."""
+
+    def test_long_triangle(self):
+        P = Polytope.from_vertices([(0, 0), (10**8, 0), (0, 1)])
+        start = time.perf_counter()
+        rep = report(P)
+        assert time.perf_counter() - start < 1.0
+        # 3 * nvol - 2 * (10^8 + 1 + 1) + 3
+        assert rep.c == 10**8 - 1
+
+    def test_sheared_unimodular_simplex(self):
+        m = 40
+        P = Polytope.from_vertices([(0, 0, 0), (1, 0, 0), (m, 1, 0), (m * m, m, 1)])
+        start = time.perf_counter()
+        rep = report(P)
+        assert time.perf_counter() - start < 1.0
+        assert rep.c == 0
+        assert rep.f_coefficients == tuple(f_polynomial(simplex(3)))
 
 
 class TestDualDegree:

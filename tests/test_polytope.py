@@ -155,6 +155,12 @@ class TestFaceLatticeGuardrails:
         with pytest.raises(InternalConsistencyError, match="Euler"):
             P.face_lattice()
 
+    def test_top_face_on_a_facet(self):
+        P = cube(2, 1)
+        P._incidence = (frozenset(range(P.n_vertices)),) + P._incidence[1:]
+        with pytest.raises(InternalConsistencyError, match="top face lies on a facet"):
+            P.face_lattice()
+
 
 @st.composite
 def hull_inputs(draw):

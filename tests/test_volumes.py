@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyinv import (
     Polytope,
@@ -15,6 +16,7 @@ from polyinv import (
     volume,
 )
 from polyinv.errors import DomainError, InternalConsistencyError
+from polyinv.volumes import ehrhart_polynomial
 
 import oracles
 from conftest import UNIMODULAR_TRANSFORMS
@@ -179,3 +181,109 @@ class TestPick:
         assert polys
         for P in polys:
             assert self.pick_holds(P), P.name
+
+
+@st.composite
+def lattice_polytopes(draw):
+    """Hulls of up to m + 3 points of [-2, 2]^m, m = 1..4."""
+    m = draw(st.integers(1, 4))
+    pts = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * m),
+            min_size=1,
+            max_size=m + 3,
+            unique=True,
+        )
+    )
+    return Polytope.from_vertices(pts)
+
+
+@st.composite
+def unimodular_maps(draw, m):
+    """(U, t): a signed permutation times a few elementary shears, and a
+    translation, all in Z^m."""
+    perm = draw(st.permutations(range(m)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    U = [[signs[i] if j == perm[i] else 0 for j in range(m)] for i in range(m)]
+    if m > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(m)))[:2]
+            s = draw(st.integers(-3, 3))
+            U[i] = [a + s * b for a, b in zip(U[i], U[j])]
+    t = draw(st.tuples(*[st.integers(-5, 5)] * m))
+    return U, t
+
+
+class TestStructuralEhrhart:
+    """`ehrhart_polynomial` (volumes, reciprocity and a few counts)
+    against `ehrhart` (interpolated direct counts) and its symmetries."""
+
+    def test_matches_direct_counts(self, small_corpus):
+        for P in small_corpus:
+            for f in P.face_lattice():
+                assert ehrhart_polynomial(f) == ehrhart(f).polynomial, (
+                    P.name,
+                    f.vertex_ids,
+                )
+
+    def test_lower_dimensional_in_higher_ambient(self):
+        # an octahedron in x_1 + ... + x_4 = 2 whose only lattice points
+        # are its 6 vertices; nvol 4 and 8 unimodular triangles give
+        # c_3 = 4/3!, c_2 = 8 * (1/2) / 2 and c_1 = 6 - 1 - c_2 - c_3
+        P = hypersimplex(2, 4)
+        assert P.dim == 3 and P.ambient_dim == 4
+        assert ehrhart_polynomial(P) == (
+            Fraction(1),
+            Fraction(7, 3),
+            Fraction(2),
+            Fraction(2, 3),
+        )
+
+    def test_dimension_at_most_two_is_never_counted(self):
+        P = Polytope.from_vertices([(0, 0), (7, 0), (0, 5)])
+        assert ehrhart_polynomial(P) == (Fraction(1), Fraction(13, 2), Fraction(35, 2))
+        assert not any(key[0] == "count" for key in P._cache)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_unimodular_invariance(self, data):
+        P = data.draw(lattice_polytopes())
+        U, t = data.draw(unimodular_maps(P.ambient_dim))
+        assert ehrhart_polynomial(P.unimodular_image(U, t)) == ehrhart_polynomial(P)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(lattice_polytopes(), st.sampled_from((2, 3)))
+    def test_dilate_scales_coefficients(self, P, t):
+        scaled = tuple(cf * t**j for j, cf in enumerate(ehrhart_polynomial(P)))
+        assert ehrhart_polynomial(P.dilate(t)) == scaled
+
+
+class TestStructuralEhrhartChecks:
+    """Each identity of the structural build fails on a corrupted lattice
+    and names the polytope, the face and the identity."""
+
+    def test_constant_term_of_an_odd_face(self):
+        P = cube(2, 1)
+        edge = P.faces(1)[0]
+        children = P._cache["children"]
+        children[edge.vertex_ids] = children[edge.vertex_ids][:1]
+        with pytest.raises(InternalConsistencyError, match="constant term is not 1"):
+            ehrhart_polynomial(P)
+
+    def test_facet_volume_identity(self):
+        P = cube(2, 1)
+        top = P.top_face()
+        children = P._cache["children"]
+        children[top.vertex_ids] += (P.faces(0)[0],)  # a vertex posing as a facet
+        with pytest.raises(InternalConsistencyError, match="half the facet volumes"):
+            ehrhart_polynomial(P)
+
+    def test_reciprocity(self):
+        P = cube(2, 1)
+        top = P.top_face()
+        children = P._cache["children"]
+        children[top.vertex_ids] = children[top.vertex_ids][1:]
+        with pytest.raises(InternalConsistencyError, match="reciprocity") as err:
+            ehrhart_polynomial(P)
+        assert f"face {top.vertex_ids}" in str(err.value)
+        assert "polytope cube(2,1)" in str(err.value)

@@ -12,11 +12,15 @@ primitive facet normals summing to zero and spanning a saturated rank-k
 lattice are exactly the candidates for pulled-back simplex facet
 normals; each candidate projection is accepted only if the image is the
 standard unimodular k-simplex, the vertex fibers are (r-k)-dimensional
-Delzant and strongly isomorphic, and rebuilding the projective join of
-the fibers gives a polytope unimodularly equivalent to the input. The
-reconstruction check, not the search heuristic, is the correctness
-anchor. Ties are broken deterministically: maximal k first, then the
-lexicographically smallest facet subset.
+Delzant and strongly isomorphic, and the rebuilt projective join of the
+fibers is the image of the input under a unimodular map. The
+decomposition predicts where each vertex of P lands in the rebuilt join
+(its fiber coordinates followed by its simplex vertex), so that map is
+solved from the predicted correspondence and checked on every vertex
+(`equivalence.paired_unimodular_map`); its last k rows must be the
+reported projection. This reconstruction check, not the search
+heuristic, is the correctness anchor. Ties are broken deterministically:
+maximal k first, then the lexicographically smallest facet subset.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional
 
 from . import linalg as la
 from .constructions import JoinSpec, projective_join
-from .equivalence import unimodular_equivalent
+from .equivalence import paired_unimodular_map
 from .errors import DomainError, InternalConsistencyError, broken_identity
 from .invariants import c, c_star, dual_degree
 from .polytope import Polytope
@@ -135,12 +139,9 @@ def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
         return None
     M = la.unimodular_inverse(cols)
     shift = tuple(-x for x in la.mat_vec(M, v0))
-    images = {la.vec_add(la.mat_vec(M, v), shift) for v in P._nverts}
-    if images != set(_standard_simplex_vertices(r)):
-        return None
+    images = [la.vec_add(la.mat_vec(M, v), shift) for v in P._nverts]
     fibers = tuple(Polytope.from_vertices([()]) for _ in range(r + 1))
-    rebuilt = projective_join(JoinSpec.build(fibers))
-    if not unimodular_equivalent(rebuilt, P):
+    if not _certified(P, images, JoinSpec.build(fibers), M, shift):
         return None
     return JoinDecomposition(
         k=r,
@@ -154,6 +155,23 @@ def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
 def _standard_simplex_vertices(k: int) -> list:
     """0, e_1, ..., e_k in Z^k."""
     return [tuple(int(j == i - 1) for j in range(k)) for i in range(k + 1)]
+
+
+def _certified(P, images, spec, proj_rows, shift) -> bool:
+    """True when `images` is the vertex set of the rebuilt join of `spec`
+    and a unimodular map sends P's i-th model vertex to images[i], with
+    the projection as its last k rows (the join's simplex coordinates).
+
+    The rebuilt join is full-dimensional in Z^r, so its ambient
+    coordinates are a lattice model of it."""
+    if sorted(images) != list(projective_join(spec).vertices):
+        return False
+    found = paired_unimodular_map(P._nverts, images)
+    if found is None:
+        return False
+    M, t = found
+    k = len(shift)
+    return M[-k:] == [list(a) for a in proj_rows] and t[-k:] == tuple(shift)
 
 
 def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
@@ -192,8 +210,11 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
     norm0 = la.affine_normalize(base_pts)
     basis0 = [list(w) for w in norm0.basis]
     fibers = []
-    for vids in fiber_vids:
-        pts = [P._nverts[i] for i in sorted(vids)]
+    # where each vertex lands in the rebuilt join: its fiber coordinates,
+    # then the simplex vertex e_i of its fiber, as `projective_join` lists it
+    join_images: list = [None] * len(P._nverts)
+    for vids, e_i in zip(fiber_vids, _standard_simplex_vertices(k)):
+        pts = [P._nverts[i] for i in vids]
         b = min(pts)
         for p in pts:
             diff = list(la.vec_sub(p, b))
@@ -207,13 +228,14 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
         if F.dim != r - k or not F.is_delzant():
             return None
         fibers.append(F)
+        for vid, x in zip(vids, coords):
+            join_images[vid] = x + e_i
 
     try:
         spec = JoinSpec.build(fibers)
     except DomainError:
         return None
-    rebuilt = projective_join(spec)
-    if not unimodular_equivalent(rebuilt, P):
+    if not _certified(P, join_images, spec, proj_rows, shift):
         return None
     return JoinDecomposition(
         k=k,

@@ -5,13 +5,20 @@ linear part of determinant +-1 and integer translation carries the
 vertex set of one onto the other; every invariant in this package is
 constant on equivalence classes.
 
-The test works on the normalized full-dimensional models. After quick
-invariant filters (dimension, vertex count, f-vector, normalized volume,
-degree multiset) it anchors an affine frame at a vertex of the first
-polytope, built from edge neighbors, and tries the finitely many frame
-images in the second polytope consistent with vertex degrees and with
-|det| preservation; each candidate determines the affine map, which is
-then verified on the whole vertex set. Desk scale only.
+`paired_unimodular_map` is the one place where such a map is solved and
+verified: given where each point goes, it solves the map from a frame at
+the first point by one fraction-free elimination, requires it to be
+integral with |det| = 1, and checks every pair. The classifier calls it
+with the vertex correspondence its join decomposition predicts.
+
+`find_unimodular_map` searches when no correspondence is known. It works
+on the normalized full-dimensional models. After quick invariant filters
+(dimension, vertex count, f-vector, normalized volume, degree multiset)
+it anchors an affine frame at a vertex of the first polytope, built from
+edge neighbors, and tries the finitely many frame images in the second
+polytope consistent with vertex degrees; `paired_unimodular_map` solves
+each candidate, which is then verified on the whole vertex set. Desk
+scale only.
 """
 
 from __future__ import annotations
@@ -24,21 +31,65 @@ from . import volumes as vol
 from .errors import InternalConsistencyError
 from .polytope import Polytope
 
+Map = tuple[list[list[int]], tuple[int, ...]]
 
-def _adjugate(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(M)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [M[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            out[j][i] = (-1) ** (i + j) * la.det(minor)
-    return out
+
+def _solve(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], n: int):
+    """The integer X with A X = B for A with n columns, solved from the
+    first rows of A that reach rank n, or None if A has lower rank or X
+    is not integral. Bareiss elimination on [A | B], then a back
+    substitution scaled by the last pivot d (the frame's determinant up
+    to sign), so every division is exact."""
+    a = [list(ra) + list(rb) for ra, rb in zip(A, B)]
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        for i in range(col + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[col])]
+        prev = p
+    dX: list[list[int]] = [[] for _ in range(n)]  # d times the solution
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        dX[i] = [
+            (prev * row[n + c] - sum(row[j] * dX[j][c] for j in range(i + 1, n)))
+            // row[i]
+            for c in range(len(row) - n)
+        ]
+    if any(x % prev for row in dX for x in row):
+        return None
+    return [[x // prev for x in row] for row in dX]
+
+
+def paired_unimodular_map(
+    src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]
+) -> Optional[Map]:
+    """A pair (M, t), M integral with det +-1, such that M src[i] + t =
+    dst[i] for every i, or None if there is none.
+
+    The points of `src` must affinely span their space. M is solved from
+    a frame at src[0], the first differences src[i] - src[0] that reach
+    full rank, and then checked on every pair.
+    """
+    p0, q0 = src[0], dst[0]
+    X = _solve(
+        [la.vec_sub(p, p0) for p in src[1:]], [la.vec_sub(q, q0) for q in dst[1:]],
+        len(p0),
+    )
+    if X is None:
+        return None
+    M = la.transpose(X)
+    if not la.is_unimodular(M):
+        return None
+    t = la.vec_sub(q0, la.mat_vec(M, p0))
+    for p, q in zip(src, dst):
+        if la.vec_add(la.mat_vec(M, p), t) != tuple(q):
+            return None
+    return M, t
 
 
 def _frame(P: Polytope, v: int) -> Optional[list[int]]:
@@ -66,9 +117,7 @@ def _signature(P: Polytope):
     )
 
 
-def find_unimodular_map(
-    P: Polytope, Q: Polytope
-) -> Optional[tuple[list[list[int]], tuple[int, ...]]]:
+def find_unimodular_map(P: Polytope, Q: Polytope) -> Optional[Map]:
     """A pair (M, t) with x -> M x + t carrying P's model vertex set onto
     Q's, or None. The map acts on the normalized models."""
     if _signature(P) != _signature(Q):
@@ -81,54 +130,26 @@ def find_unimodular_map(
     frame = _frame(P, a0)
     if frame is None:
         raise InternalConsistencyError("edge directions at a vertex do not span")
-    pa = P._nverts[a0]
-    DA = [list(la.vec_sub(P._nverts[w], pa)) for w in frame]
-    DA_cols = la.transpose(DA)
-    detA = la.det(DA_cols)
-    adjA = _adjugate(DA_cols)
+    src = [P._nverts[a0]] + [P._nverts[w] for w in frame]
     degA = [len(P.edge_graph()[w]) for w in frame]
     deg0 = len(P.edge_graph()[a0])
 
     qverts = set(Q._nverts)
     gq = Q.edge_graph()
-
     for b0 in range(len(Q.vertices)):
         if len(gq[b0]) != deg0:
             continue
-        qb = Q._nverts[b0]
-        nbrs = gq[b0]
-        for image in itertools.permutations(nbrs, r):
+        for image in itertools.permutations(gq[b0], r):
             if any(len(gq[w]) != d for w, d in zip(image, degA)):
                 continue
-            DB = [list(la.vec_sub(Q._nverts[w], qb)) for w in image]
-            DB_cols = la.transpose(DB)
-            if abs(la.det(DB_cols)) != abs(detA):
+            found = paired_unimodular_map(
+                src, [Q._nverts[b0]] + [Q._nverts[w] for w in image]
+            )
+            if found is None:
                 continue
-            # M = DB_cols . DA_cols^-1 = DB_cols . adjA / detA, must be integral
-            num = la.mat_mul(DB_cols, adjA)
-            M = []
-            ok = True
-            for row in num:
-                out_row = []
-                for x in row:
-                    if x % detA:
-                        ok = False
-                        break
-                    out_row.append(x // detA)
-                if not ok:
-                    break
-                M.append(out_row)
-            if not ok:
-                continue
-            # verify the full vertex set
-            t = la.vec_sub(qb, la.mat_vec(M, pa))
-            good = True
-            for v in P._nverts:
-                if la.vec_add(la.mat_vec(M, v), t) not in qverts:
-                    good = False
-                    break
-            if good:
-                return M, t
+            M, t = found
+            if all(la.vec_add(la.mat_vec(M, v), t) in qverts for v in P._nverts):
+                return found
     return None
 
 

@@ -69,11 +69,20 @@ def c(P: Polytope) -> int:
 def c_grade_terms(P: Polytope, t: int = 1) -> list[int]:
     """Per-dimension signed contributions to c_t, index k = 0..dim."""
     r = P.dim
-    terms = [0] * (r + 1)
-    for f in P.face_lattice():
-        sign = -1 if (r - f.dim) % 2 else 1
-        terms[f.dim] += sign * _rising(f.dim, t) * vol.normalized_volume(f)
-    return terms
+    return [
+        (-1) ** (r - k) * _rising(k, t) * s for k, s in enumerate(_volume_sums(P))
+    ]
+
+
+def _volume_sums(P: Polytope) -> list[int]:
+    """Sum of nvol(F) over the k-faces F, for k = 0..dim; one lattice walk
+    per polytope."""
+    if "nvol_sums" not in P._cache:
+        sums = [0] * (P.dim + 1)
+        for f in P.face_lattice():
+            sums[f.dim] += vol.normalized_volume(f)
+        P._cache["nvol_sums"] = sums
+    return P._cache["nvol_sums"]
 
 
 def mult(P: Polytope, face: Union[Face, Polytope]) -> int:

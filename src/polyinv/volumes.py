@@ -21,7 +21,8 @@ left come from counts at n = 1..floor((k - 1)/2) (Macdonald 1971; Beck
 dimension <= 2 are never counted.
 
 Lattice counts use a bounding-box scan of a lattice normalization of the
-face's span (`_face_model`) with exact inequality tests. No floating
+face's span (`_face_model`; the polytope itself is scanned in its own
+model) with exact inequality tests. No floating
 point, no approximation. Counting runs in the ambient lattice of the
 dilated face: for a face F and a dilation n the count is |nF cap Z^n|,
 which agrees with counting in the span lattice of F whenever that span
@@ -195,7 +196,10 @@ def _face_ehrhart(face: Face, boundary: list[int], scale: int) -> tuple[int, ...
 
 def _face_model(P: Polytope, face: Face):
     """(vertex coords, inequalities) of a face in a lattice normalization
-    of its span; the restricted facets not containing the face cut it out."""
+    of its span; the restricted facets not containing the face cut it out.
+    The top face is P's own model."""
+    if face.dim == P.dim:
+        return P._nverts, P._nfacets
     key = ("fmodel", face.vertex_ids)
     if key not in P._cache:
         norm = la.affine_normalize([P._nverts[i] for i in face.vertex_ids])

@@ -103,6 +103,33 @@ class TestDecomposeJoin:
                 assert f.dim == r - dec.k
 
 
+class TestPredictedCorrespondence:
+    """The certificate must send each vertex to the image the decomposition
+    predicts; a correspondence with two images traded is refused, even on
+    a simplex, where any vertex bijection is a unimodular map."""
+
+    @staticmethod
+    def _trade_two_images(monkeypatch):
+        real = classifier.paired_unimodular_map
+
+        def traded(src, dst):
+            return real(src, [dst[1], dst[0], *dst[2:]])
+
+        monkeypatch.setattr(classifier, "paired_unimodular_map", traded)
+
+    def test_join_corpus(self, join_corpus, monkeypatch):
+        self._trade_two_images(monkeypatch)
+        for J, k, r in join_corpus:
+            with pytest.raises(InternalConsistencyError, match="classification violated"):
+                decompose_join(J)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_simplices(self, r, monkeypatch):
+        self._trade_two_images(monkeypatch)
+        with pytest.raises(InternalConsistencyError, match="classification violated"):
+            decompose_join(simplex(r))
+
+
 class TestClassify:
     def test_simplex3(self):
         rep = classify(simplex(3))

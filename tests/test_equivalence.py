@@ -1,3 +1,5 @@
+import pytest
+
 from polyinv import (
     Polytope,
     cube,
@@ -8,6 +10,7 @@ from polyinv import (
     unimodular_equivalent,
 )
 from polyinv import linalg as la
+from polyinv.equivalence import paired_unimodular_map
 
 from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS
 
@@ -63,3 +66,56 @@ class TestEquivalence:
     def test_hypersimplex_complement(self):
         assert unimodular_equivalent(hypersimplex(2, 5), hypersimplex(3, 5))
         assert not unimodular_equivalent(hypersimplex(2, 5), simplex(4))
+
+
+def _known_pairing(P, M, t):
+    """Q = P.unimodular_image(M, t) and, in P's vertex order, the model
+    vertices of Q that P's model vertices go to."""
+    Q = P.unimodular_image(M, t)
+    image = [la.vec_add(la.mat_vec(M, v), t) for v in P.vertices]
+    return Q, [Q._nverts[Q.vertices.index(w)] for w in image]
+
+
+class TestPairedMap:
+    """The map fixed by a known vertex correspondence."""
+
+    def test_reproduces_the_pairing(self, small_corpus):
+        for P in small_corpus:
+            for M, t in UNIMODULAR_TRANSFORMS.get(P.ambient_dim, []):
+                Q, paired = _known_pairing(P, M, t)
+                found = paired_unimodular_map(P._nverts, paired)
+                assert found is not None, P.name
+                N, s = found
+                assert abs(la.det(N)) == 1
+                assert [la.vec_add(la.mat_vec(N, p), s) for p in P._nverts] == paired
+                if P.dim == P.ambient_dim:
+                    # full dimensional: the ambient pairing fixes (M, t) itself
+                    image = [la.vec_add(la.mat_vec(M, v), t) for v in P.vertices]
+                    assert paired_unimodular_map(P.vertices, image) == (M, t)
+
+    @pytest.mark.parametrize("P", [cube(2, 1), cube(3, 1), cube(3, 2)])
+    def test_swapped_pair(self, P):
+        # vertices 0 and 1 span an edge; no affine map swaps them and
+        # fixes every other vertex
+        _, paired = _known_pairing(P, *UNIMODULAR_TRANSFORMS[P.ambient_dim][0])
+        assert paired_unimodular_map(P._nverts, paired) is not None
+        swapped = [paired[1], paired[0], *paired[2:]]
+        assert paired_unimodular_map(P._nverts, swapped) is None
+
+    def test_dilate(self, small_corpus):
+        for P in small_corpus:
+            if P.dim == 0:
+                continue
+            Q = P.dilate(2)
+            assert Q.vertices == tuple(tuple(2 * x for x in v) for v in P.vertices)
+            assert paired_unimodular_map(P._nverts, Q._nverts) is None
+            assert paired_unimodular_map(P.vertices, Q.vertices) is None
+
+    def test_non_integral(self):
+        # the half triangle's vertex swap is affine but not integral
+        P = Polytope.from_vertices(TRIANGLE_HALF)
+        swapped = [P._nverts[1], P._nverts[0], P._nverts[2]]
+        assert paired_unimodular_map(P._nverts, swapped) is None
+
+    def test_points(self):
+        assert paired_unimodular_map([()], [()]) == ([], ())

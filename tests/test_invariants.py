@@ -1,5 +1,7 @@
+import json
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,10 +16,12 @@ from polyinv import (
     f_value,
     hypersimplex,
     mult,
+    normalized_volume,
     product,
     report,
     simplex,
 )
+from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError, NotSimpleError
 from polyinv.invariants import c_grade_terms
 
@@ -59,6 +63,20 @@ class TestC:
         # the value is reported by the conjecture scan as a finding
         assert c(hypersimplex(2, 5)) == -5
         assert c(hypersimplex(3, 5)) == -5
+
+    def test_c_t_is_the_face_sum(self, small_corpus):
+        # the per-dimension volume sums are cached once per polytope; every
+        # c_t must still be the alternating sum over the face lattice
+        for P in small_corpus:
+            for t in range(5):
+                expected = sum(
+                    (-1) ** (P.dim - f.dim)
+                    * factorial(f.dim + t)
+                    // factorial(f.dim)
+                    * normalized_volume(f)
+                    for f in P.face_lattice()
+                )
+                assert c_t(P, t) == expected, (P.name, t)
 
     def test_c_is_c1(self, small_corpus):
         for P in small_corpus:
@@ -221,6 +239,15 @@ class TestNoHang:
         assert time.perf_counter() - start < 1.0
         # 3 * nvol - 2 * (10^8 + 1 + 1) + 3
         assert rep.c == 10**8 - 1
+
+    def test_info_on_long_triangle(self):
+        doc = {"ambient_dim": 2, "vertices": [[0, 0], [10**8, 0], [0, 1]]}
+        start = time.perf_counter()
+        code, out = run(CliConfig(command="info"), json.dumps(doc).encode())
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, out
+        # L_P(1) = 1 + 50000001 + 50000000
+        assert json.loads(out)["lattice_points"] == 100000002
 
     def test_sheared_unimodular_simplex(self):
         m = 40

@@ -117,11 +117,11 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
             return dec
         raise InternalConsistencyError("classification violated")
 
-    face_by_vset = {frozenset(f.vertex_ids): f for f in P.face_lattice()}
+    face_by_mask = {sum(1 << i for i in f.vertex_ids): f for f in P.face_lattice()}
     nfacets = P._nfacets
     for k in range(r - 1, _k_min(r) - 1, -1):
         for J in itertools.combinations(range(len(nfacets)), k + 1):
-            dec = _try_subset(P, J, k, face_by_vset)
+            dec = _try_subset(P, J, k, face_by_mask)
             if dec is not None:
                 return dec
     raise InternalConsistencyError("classification violated")
@@ -174,7 +174,7 @@ def _certified(P, images, spec, proj_rows, shift) -> bool:
     return M[-k:] == [list(a) for a in proj_rows] and t[-k:] == tuple(shift)
 
 
-def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
+def _try_subset(P, J, k, face_by_mask) -> Optional[JoinDecomposition]:
     r = P.dim
     normals = [P._nfacets[j][0] for j in J]
     if any(sum(a[i] for a in normals) != 0 for i in range(r)):
@@ -201,7 +201,7 @@ def _try_subset(P, J, k, face_by_vset) -> Optional[JoinDecomposition]:
 
     # each fiber must be a face of P of dimension r - k
     for vids in fiber_vids:
-        face = face_by_vset.get(frozenset(vids))
+        face = face_by_mask.get(sum(1 << i for i in vids))
         if face is None or face.dim != r - k:
             return None
 

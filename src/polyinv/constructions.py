@@ -152,7 +152,7 @@ class JoinSpec:
             cone_map = {}
             for vid, v in enumerate(P.vertices):
                 key = frozenset(
-                    a for a, tight in zip(normals, P._incidence) if vid in tight
+                    a for a, tight in zip(normals, P._incidence) if tight >> vid & 1
                 )
                 if key in cone_map:
                     raise DomainError(

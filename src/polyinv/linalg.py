@@ -16,6 +16,7 @@ The normal forms follow fixed conventions so that outputs are reproducible:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,15 +58,15 @@ def mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vec_sub(a: Sequence[int], b: Sequence[int]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vec_add(a: Sequence[int], b: Sequence[int]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,26 @@ coordinates.
 Facets come from an exact integer double description hull on the
 normalized model (`_hull_facet_normals`), whose rays are the facet
 inequalities. Every candidate normal is still validated by sidedness and
-the rank of its tight set before it becomes a facet, and a point is kept
-as a vertex only if its facet normals span the model space.
+the rank of its tight set before it becomes a facet. Tight sets and
+facet incidences are int bitmasks over point ids; a point is a vertex
+only if the facets through it meet in that point alone.
 
-The face lattice comes from the facet incidences in one graded pass, top
-down: the facets of a face are the inclusion-maximal nonempty
-intersections of its vertex set with the facets of P not containing it.
-A face's dimension is its level in that pass; its children are stored
-with it.
+The face lattice comes from the incidences in one graded pass on masks,
+top down: the facets of a face are the inclusion-maximal nonempty
+intersections of its vertex mask with the facets of P not containing it.
+A face's dimension is its level in that pass; the levels and each face's
+children are stored, so `faces(k)` reads one level.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, broken_identity
 
 Point = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
@@ -80,7 +82,8 @@ class Polytope:
         self._norm: la.AffineNormalization | None = None
         self._nverts: tuple[Point, ...] = ()
         self._nfacets: tuple[Halfspace, ...] = ()
-        self._incidence: tuple[frozenset, ...] = ()
+        # one mask per facet: bit i is set iff vertex i lies on the facet
+        self._incidence: tuple[int, ...] = ()
         self._cache: dict = {}
 
     # -- construction -------------------------------------------------
@@ -94,28 +97,30 @@ class Polytope:
         d = norm.dim
         model = [norm.forward(p) for p in pts]
 
-        facets: dict[Halfspace, frozenset] = {}
+        facets: dict[Halfspace, int] = {}
         if d > 0:
             for a in _hull_facet_normals(model, d):
                 vals = [la.dot(a, y) for y in model]
                 b = min(vals)
-                tight = [i for i, v in enumerate(vals) if v == b]
+                mask = sum(1 << i for i, v in enumerate(vals) if v == b)
+                tight = _ids(mask)
                 if len(tight) < d:
                     continue
                 diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
                 if la.rank(diffs) == d - 1:
-                    facets[(a, b)] = frozenset(tight)
+                    facets[(a, b)] = mask
 
-        # extreme points: the active facet normals span the full model space
+        # extreme points: the facets through a point meet in that point alone
         keep = []
         for i in range(len(pts)):
-            active = [f[0] for f, tight in facets.items() if i in tight]
-            r = la.rank([list(a) for a in active]) if active else 0
-            if r == d:
+            meet = (1 << len(pts)) - 1
+            for t in facets.values():
+                if t >> i & 1:
+                    meet &= t
+            if meet == 1 << i:
                 keep.append(i)
 
         order = sorted(keep, key=lambda i: pts[i])
-        old_to_new = {old: new for new, old in enumerate(order)}
         facet_list = sorted(facets.items())
 
         self = cls(_internal=True)
@@ -127,7 +132,7 @@ class Polytope:
         self._nverts = tuple(model[i] for i in order)
         self._nfacets = tuple(f for f, _ in facet_list)
         self._incidence = tuple(
-            frozenset(old_to_new[i] for i in tight if i in old_to_new)
+            sum(1 << new for new, old in enumerate(order) if tight >> old & 1)
             for _, tight in facet_list
         )
         return self
@@ -160,7 +165,7 @@ class Polytope:
                     for j in range(self.ambient_dim)
                 )
                 amb = la.primitive(raw)
-                v = self.vertices[min(tight)]
+                v = self.vertices[(tight & -tight).bit_length() - 1]
                 off = la.dot(amb, v)
                 out.append((amb, off))
             self._cache["facets"] = tuple(out)
@@ -184,10 +189,8 @@ class Polytope:
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for f in self.face_lattice():
-            counts[f.dim] += 1
-        return tuple(counts)
+        self.face_lattice()
+        return tuple(map(len, self._cache["levels"]))
 
     def __eq__(self, other):
         return (
@@ -211,70 +214,79 @@ class Polytope:
     def face_lattice(self) -> tuple[Face, ...]:
         """All nonempty faces, graded by dimension, including P itself."""
         if "faces" not in self._cache:
-            self._cache["faces"], self._cache["children"] = self._build_face_lattice()
+            self._cache["levels"], self._cache["children"] = self._build_face_lattice()
+            self._cache["faces"] = sum(self._cache["levels"], ())
         return self._cache["faces"]
 
     def _build_face_lattice(self):
-        """(faces sorted by (dim, vertex_ids), vertex_ids -> children).
+        """(the faces of each dimension 0..dim sorted by vertex_ids,
+        vertex_ids -> children).
 
-        Built top down, one level per dimension. The facets of a face F
-        are the inclusion-maximal nonempty sets F & t over the facet
-        incidences t that do not contain F, and the facets of P
-        containing such a child are those of F plus the t that cut it.
+        Built top down on int bitmasks over the vertex ids, one level per
+        dimension. The facets of a face F are the inclusion-maximal
+        nonempty cuts F & t over the facet incidences t that do not
+        contain F, and the facets of P containing such a child are those
+        of F plus the t that cut it, kept as a mask of facet ids. Each
+        `Face` is built once, from its masks, when the pass first meets it.
         """
-        incidence = self._incidence
-        top = frozenset(range(len(self.vertices)))
-        facet_ids = {top: frozenset(j for j, t in enumerate(incidence) if top <= t)}
-        if facet_ids[top]:
-            raise InternalConsistencyError("the top face lies on a facet")
-        kids_of: dict[frozenset, list] = {}
-        # levels[i] holds the faces of dimension dim - i; it grows as it is walked
-        levels = [{top: None}]
+        incidence, d, n = self._incidence, self.dim, len(self.vertices)
+        top = (1 << n) - 1
+        on = {top: sum(1 << j for j, t in enumerate(incidence) if t & top == top)}
+        top_face = Face(self, _ids(top), _ids(on[top]), d)
+        if on[top]:
+            raise broken_identity("the top face lies on a facet", top_face)
+        by_mask, kids_of = {top: top_face}, {}
+        # levels[i] holds the faces of dimension d - i; it grows as it is walked
+        levels = [[top]]
         for level in levels:
-            below: dict[frozenset, None] = {}
+            below: dict[int, None] = {}
             for s in level:
-                cuts: dict[frozenset, set] = {}
+                # s & t == s exactly for the facets t in on[s]
+                cuts: dict[int, int] = {}
                 for j, t in enumerate(incidence):
-                    if j not in facet_ids[s] and (cut := s & t):
-                        cuts.setdefault(cut, set()).add(j)
-                kids_of[s] = [c for c in cuts if not any(c < other for other in cuts)]
-                for c in kids_of[s]:
-                    if c not in facet_ids:
-                        facet_ids[c] = facet_ids[s] | cuts[c]
+                    if (cut := s & t) and cut != s:
+                        cuts[cut] = cuts.get(cut, 0) | 1 << j
+                # larger cuts first: a cut is maximal unless a kid contains it
+                kids_of[s] = kids = []
+                for c in sorted(cuts, key=int.bit_count, reverse=True):
+                    for k in kids:
+                        if c & k == c:
+                            break
+                    else:
+                        kids.append(c)
+                for c in kids:
+                    if c not in on:
+                        on[c] = on[s] | cuts[c]
+                        by_mask[c] = Face(self, _ids(c), _ids(on[c]), d - len(levels))
                     elif c not in below:
-                        raise InternalConsistencyError(
-                            "face appears at two levels of the face lattice"
+                        raise broken_identity(
+                            "face appears at two levels of the face lattice", by_mask[c]
                         )
                     below[c] = None
             if below:
-                levels.append(below)
-
-        by_set = {
-            s: Face(self, tuple(sorted(s)), tuple(sorted(facet_ids[s])), self.dim - i)
-            for i, level in enumerate(levels)
-            for s in level
-        }
-        faces = tuple(sorted(by_set.values(), key=lambda f: (f.dim, f.vertex_ids)))
-        children = {
-            by_set[s].vertex_ids: tuple(by_set[c] for c in sorted(kids, key=sorted))
-            for s, kids in kids_of.items()
-        }
+                levels.append(list(below))
 
         # guardrails: these hold for every polytope and catch a wrong or
         # incomplete facet description at first use
-        vertices = [f.vertex_ids for f in faces if f.dim == 0]
-        if vertices != [(i,) for i in range(len(self.vertices))]:
-            raise InternalConsistencyError("vertex missing from face lattice")
-        euler = sum((-1) ** f.dim for f in faces)
-        if euler != 1:
-            raise InternalConsistencyError("Euler relation failed")
-        return faces, children
+        if len(levels) != d + 1 or sorted(levels[-1]) != [1 << i for i in range(n)]:
+            raise broken_identity("vertex missing from face lattice", top_face)
+        if sum((-1) ** (d - i) * len(level) for i, level in enumerate(levels)) != 1:
+            raise broken_identity("Euler relation failed", top_face)
+
+        by_ids = operator.attrgetter("vertex_ids")
+        children = {
+            by_mask[s].vertex_ids: tuple(sorted(map(by_mask.get, kids), key=by_ids))
+            for s, kids in kids_of.items()
+        }
+        graded = [sorted(map(by_mask.get, level), key=by_ids) for level in levels]
+        return tuple(map(tuple, reversed(graded))), children
 
     def faces(self, k: int) -> tuple[Face, ...]:
-        """The k-dimensional faces; empty outside 0..dim."""
+        """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
         if k < 0 or k > self.dim:
             return ()
-        return tuple(f for f in self.face_lattice() if f.dim == k)
+        self.face_lattice()
+        return self._cache["levels"][k]
 
     def top_face(self) -> Face:
         return self.faces(self.dim)[0]
@@ -289,14 +301,12 @@ class Polytope:
     def edge_graph(self) -> dict[int, tuple[int, ...]]:
         """Vertex id -> sorted ids of neighbors along edges."""
         if "edges" not in self._cache:
-            adj: dict[int, set] = {i: set() for i in range(len(self.vertices))}
+            adj = [0] * len(self.vertices)
             for e in self.faces(1):
                 u, v = e.vertex_ids
-                adj[u].add(v)
-                adj[v].add(u)
-            self._cache["edges"] = {
-                i: tuple(sorted(s)) for i, s in adj.items()
-            }
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            self._cache["edges"] = dict(enumerate(map(_ids, adj)))
         return self._cache["edges"]
 
     # -- predicates ------------------------------------------------------
@@ -437,6 +447,15 @@ class Polytope:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _ids(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending."""
+    ids = []
+    while mask:
+        ids.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(ids)
 
 
 def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:

@@ -4,10 +4,10 @@ Everything here is deliberately written from scratch against the same
 mathematical definitions the library implements, sharing no code with
 it: exact rational Gaussian elimination, a tiny phase-I simplex over
 Fractions for feasibility questions, supporting-hyperplane face
-detection by subset enumeration, facets by hyperplanes through every
-affinely independent point subset, half-open parallelotope point
-counts, and bounding-box lattice counts with convex-hull membership
-tests.
+detection by subset enumeration, the graded face lattice pass on
+frozensets, facets by hyperplanes through every affinely independent
+point subset, half-open parallelotope point counts, and bounding-box
+lattice counts with convex-hull membership tests.
 Slow on purpose; used only at desk scale.
 """
 
@@ -240,6 +240,47 @@ def face_vertex_sets(vertices):
             if _separating_functional_exists(tight, strict):
                 out.add(frozenset(S))
     return out
+
+
+# ---------------------------------------------------------------------------
+# face lattice from facet incidences
+
+
+def frozenset_face_lattice(n_vertices, incidence_sets):
+    """The face lattice of a polytope from its facet incidences, by the
+    graded pass on frozensets that the library ran before its bitmask one.
+
+    Top down, one level per dimension: the facets of a face F are the
+    inclusion-maximal nonempty sets F & t over the incidences t that do
+    not contain F, and the facets of P containing such a child are those
+    of F plus the t that cut it. Returns {vertex id set: (facet id set,
+    dim, children)}, the children sorted by their sorted vertex ids.
+    """
+    incidence = [frozenset(t) for t in incidence_sets]
+    top = frozenset(range(n_vertices))
+    facet_ids = {top: frozenset(j for j, t in enumerate(incidence) if top <= t)}
+    kids_of = {}
+    levels = [[top]]
+    for level in levels:
+        below = {}
+        for s in level:
+            cuts = {}
+            for j, t in enumerate(incidence):
+                if j not in facet_ids[s] and (cut := s & t):
+                    cuts.setdefault(cut, set()).add(j)
+            kids_of[s] = [c for c in cuts if not any(c < other for other in cuts)]
+            for c in kids_of[s]:
+                if c not in facet_ids:
+                    facet_ids[c] = facet_ids[s] | cuts[c]
+                below[c] = None
+        if below:
+            levels.append(list(below))
+    top_dim = len(levels) - 1
+    return {
+        s: (facet_ids[s], top_dim - i, tuple(sorted(kids_of[s], key=sorted)))
+        for i, level in enumerate(levels)
+        for s in level
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,22 @@ def assert_graded_lattice(P):
 
 
 class TestFaceLatticeGuardrails:
-    """A wrong facet incidence fails at the first use of the lattice."""
+    """A wrong facet incidence fails at the first use of the lattice, and
+    the error names the polytope and the face."""
 
     def test_dropped_facet_misses_a_vertex(self):
         P = cube(2, 1)
         P._incidence = P._incidence[1:]
-        with pytest.raises(InternalConsistencyError, match="vertex missing"):
+        with pytest.raises(InternalConsistencyError, match="vertex missing") as err:
             P.face_lattice()
+        assert "(polytope cube(2,1), face (0, 1, 2, 3))" in str(err.value)
 
     def test_face_at_two_levels(self):
         P = cube(2, 1)
-        P._incidence = (P._incidence[0] ^ {0},) + P._incidence[1:]
-        with pytest.raises(InternalConsistencyError, match="two levels"):
+        P._incidence = (P._incidence[0] ^ 1,) + P._incidence[1:]
+        with pytest.raises(InternalConsistencyError, match="two levels") as err:
             P.face_lattice()
+        assert "(polytope cube(2,1), face (0,))" in str(err.value)
 
     def test_euler_relation(self):
         P = hypersimplex(2, 4)
@@ -157,7 +160,7 @@ class TestFaceLatticeGuardrails:
 
     def test_top_face_on_a_facet(self):
         P = cube(2, 1)
-        P._incidence = (frozenset(range(P.n_vertices)),) + P._incidence[1:]
+        P._incidence = ((1 << P.n_vertices) - 1,) + P._incidence[1:]
         with pytest.raises(InternalConsistencyError, match="top face lies on a facet"):
             P.face_lattice()
 
@@ -207,7 +210,8 @@ class TestHullOracle:
             assert tight in expected
             if P.dim == P.ambient_dim:
                 assert (a, b) == expected[tight]
-            assert {P.vertices[i] for i in ids} == tight & set(P.vertices)
+            on_facet = {v for i, v in enumerate(P.vertices) if ids >> i & 1}
+            assert on_facet == tight & set(P.vertices)
             got.add(tight)
         assert got == set(expected)
 
@@ -234,6 +238,52 @@ class TestHullOracle:
         assert P.n_vertices == len(points)
         assert P.facets == Q.facets
         assert P.f_vector == Q.f_vector
+
+
+def assert_lattice_matches_oracles(P):
+    """The face lattice equals the frozenset pass run on the incidences
+    read off the ambient facet inequalities. Each face's facet ids are
+    exactly the facets tight on all of its vertices, and its vertex ids
+    exactly the vertices tight on all of those facets."""
+    tight = [
+        frozenset(
+            i for i, v in enumerate(P.vertices) if sum(x * y for x, y in zip(a, v)) == b
+        )
+        for a, b in P.facets
+    ]
+    expected = oracles.frozenset_face_lattice(P.n_vertices, tight)
+    got = {
+        frozenset(f.vertex_ids): (
+            frozenset(f.facet_ids),
+            f.dim,
+            tuple(frozenset(g.vertex_ids) for g in P.face_children(f)),
+        )
+        for f in P.face_lattice()
+    }
+    assert got == expected, P.name
+    everything = frozenset(range(P.n_vertices))
+    for f in P.face_lattice():
+        vids = frozenset(f.vertex_ids)
+        assert f.facet_ids == tuple(j for j, t in enumerate(tight) if vids <= t)
+        assert everything.intersection(*(tight[j] for j in f.facet_ids)) == vids
+
+
+class TestLatticeOracles:
+    """The bitmask face lattice against the frozenset pass it replaced and
+    against the facet inequalities."""
+
+    def test_corpora(self, small_corpus, join_corpus):
+        for P in small_corpus + [J for J, _k, _r in join_corpus]:
+            assert_lattice_matches_oracles(P)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_hull_inputs(self, pts):
+        P = Polytope.from_vertices(pts)
+        if P.ambient_dim <= 4:
+            expected = oracles.subset_hull_facets(pts)
+            assert list(P.vertices) == oracles.hull_vertices(pts, expected)
+        assert_lattice_matches_oracles(P)
 
 
 class TestPredicates:

@@ -44,7 +44,6 @@ from .linalg import (
     hermite_normal_form,
     lattice_index,
     primitive,
-    smith_normal_form,
 )
 from .polytope import Face, Polytope
 from .volumes import EhrhartData, ehrhart, lattice_points, normalized_volume, volume
@@ -89,7 +88,6 @@ __all__ = [
     "projective_join",
     "report",
     "simplex",
-    "smith_normal_form",
     "unimodular_equivalent",
     "volume",
 ]

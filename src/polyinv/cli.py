@@ -28,7 +28,7 @@ from . import classifier as classify_mod
 from . import constructions as con
 from . import invariants as inv
 from . import volumes as vol
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, InternalConsistencyError, broken_identity
 from .polytope import Polytope
 
 FORMAT_VERSION = 1
@@ -166,8 +166,8 @@ def _cmd_ehrhart(P: Polytope, config: CliConfig) -> dict:
     for n in range(max(samples) + 1, config.dilation_max + 1):
         samples[n] = vol.lattice_points(P, n)
         if data.evaluate(n) != samples[n]:
-            raise InternalConsistencyError(
-                "Ehrhart polynomial disagrees with a direct count"
+            raise broken_identity(
+                "Ehrhart polynomial disagrees with a direct count", P.top_face()
             )
     doc = _poly_header(P)
     doc["samples"] = {str(n): samples[n] for n in sorted(samples)}

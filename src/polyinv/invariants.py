@@ -124,7 +124,7 @@ def c_star(P: Polytope) -> Fraction:
         )
         total += term
     if P.is_delzant() and total != c(P):
-        raise InternalConsistencyError("c_star differs from c on a Delzant input")
+        raise broken_identity("c_star differs from c on a Delzant input", P.top_face())
     return total
 
 
@@ -219,7 +219,7 @@ def report(P: Polytope, t_range: Sequence[int] = (0, 1, 2, 3, 4)) -> InvariantRe
     if P.is_simple():
         cstar = c_star(P)
         if P.is_delzant() and cstar != cval:
-            raise InternalConsistencyError("c_star != c on Delzant input")
+            raise broken_identity("c_star != c on Delzant input", P.top_face())
         if cstar.denominator != 1:
             notes.append(
                 "c_star is non-integral on this simple but non-Delzant input"

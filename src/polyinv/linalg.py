@@ -5,12 +5,12 @@ tuples of ints. Everything here is arbitrary precision and fraction free:
 no floats anywhere. Rationals, where they appear at the API edges of other
 modules, are `fractions.Fraction`.
 
-The normal forms follow fixed conventions so that outputs are reproducible:
-
-* `hermite_normal_form` is row style, pivots positive, entries above a
-  pivot reduced into [0, pivot).
-* `smith_normal_form` returns nonnegative diagonal entries with the
-  divisibility chain d1 | d2 | ...
+The one normal form, `hermite_normal_form`, is row style with positive
+pivots and entries above a pivot reduced into [0, pivot), so outputs are
+reproducible. `affine_normalize` reads the span equations, the saturated
+direction lattice and its dual projection off Hermite forms (Cohen, "A
+Course in Computational Algebraic Number Theory", 2.4); there is no
+Smith form.
 """
 
 from __future__ import annotations
@@ -198,27 +198,25 @@ def is_unimodular(M: Sequence[Sequence[int]]) -> bool:
 
 
 def kernel_basis(M: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the integer kernel {x : M x = 0}, a saturated lattice.
-
-    Derived from the HNF transform of the transpose: rows of U aligned
-    with zero rows of H span the kernel.
-    """
+    """Basis of the integer kernel {x : M x = 0}, a saturated lattice."""
     m = len(M)
     n = len(M[0]) if m else 0
     if n == 0:
         return []
     if m == 0:
         return [tuple(row) for row in identity(n)]
-    H, U = hermite_normal_form(transpose(M))
-    out = []
-    for i, row in enumerate(H):
-        if all(x == 0 for x in row):
-            out.append(tuple(U[i]))
-    return out
+    return _left_kernel(transpose(M))
+
+
+def _left_kernel(M: Sequence[Sequence[int]]) -> list[Vector]:
+    """Basis of the saturated lattice {c : c M = 0}: the rows of the HNF
+    transform U aligned with zero rows of H = U M."""
+    H, U = hermite_normal_form(M)
+    return [tuple(u) for u, h in zip(U, H) if not any(h)]
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# primitive vectors and lattice indices
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -232,140 +230,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def _smith_engine(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    D = copy_matrix(M)
-    m = len(D)
-    n = len(D[0]) if m else 0
-    U = identity(m)
-    V = identity(n)
-
-    def clear_col_entry(t, i):
-        # zero D[i][t] using row t; keeps det(U) = +-1
-        a, b = D[t][t], D[i][t]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for j in range(n):
-                D[i][j] -= q * D[t][j]
-            for j in range(m):
-                U[i][j] -= q * U[t][j]
-            return
-        g, x, y = _xgcd(a, b)
-        u, v = -(b // g), a // g  # u*a + v*b = 0, det = 1
-        for j in range(n):
-            dt, di = D[t][j], D[i][j]
-            D[t][j] = x * dt + y * di
-            D[i][j] = u * dt + v * di
-        for j in range(m):
-            ut, ui = U[t][j], U[i][j]
-            U[t][j] = x * ut + y * ui
-            U[i][j] = u * ut + v * ui
-
-    def clear_row_entry(t, j):
-        a, b = D[t][t], D[t][j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for i in range(m):
-                D[i][j] -= q * D[i][t]
-            for i in range(n):
-                V[i][j] -= q * V[i][t]
-            return
-        g, x, y = _xgcd(a, b)
-        u, v = -(b // g), a // g
-        for i in range(m):
-            dt, dj = D[i][t], D[i][j]
-            D[i][t] = x * dt + y * dj
-            D[i][j] = u * dt + v * dj
-        for i in range(n):
-            vt, vj = V[i][t], V[i][j]
-            V[i][t] = x * vt + y * vj
-            V[i][j] = u * vt + v * vj
-
-    def diagonalize_from(t):
-        while True:
-            for i in range(t + 1, m):
-                clear_col_entry(t, i)
-            for j in range(t + 1, n):
-                clear_row_entry(t, j)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                D[t][j] == 0 for j in range(t + 1, n)
-            ):
-                return
-
-    t = 0
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            D[t], D[i] = D[i], D[t]
-            U[t], U[i] = U[i], U[t]
-        if j != t:
-            for r_ in range(m):
-                D[r_][t], D[r_][j] = D[r_][j], D[r_][t]
-            for r_ in range(n):
-                V[r_][t], V[r_][j] = V[r_][j], V[r_][t]
-        diagonalize_from(t)
-        t += 1
-
-    def make_nonneg(i):
-        if D[i][i] < 0:
-            for j in range(n):
-                D[i][j] = -D[i][j]
-            for j in range(m):
-                U[i][j] = -U[i][j]
-
-    for i in range(min(m, n)):
-        make_nonneg(i)
-
-    # enforce the divisibility chain d1 | d2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # fold d_{i+1} under the pivot, re-diagonalize the pair
-                for r_ in range(m):
-                    D[r_][i] += D[r_][i + 1]
-                for r_ in range(n):
-                    V[r_][i] += V[r_][i + 1]
-                diagonalize_from(i)
-                make_nonneg(i)
-                make_nonneg(i + 1)
-                changed = True
-    return U, D, V
-
-
-def smith_normal_form(
-    M: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: returns (U, D, V) with U * M * V = D.
-
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ...,
-    and U, V are unimodular.
-    """
-    U, D, V = _smith_engine(M)
-    if mat_mul(mat_mul(U, copy_matrix(M)), V) != D:
-        raise InternalConsistencyError("smith normal form identity failed")
-    return U, D, V
-
-
-# ---------------------------------------------------------------------------
-# primitive vectors and lattice indices
 
 
 def primitive(v: Sequence[int]) -> Vector:
@@ -438,10 +302,15 @@ class AffineNormalization:
 def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
     """Normalize a set of lattice points onto the full lattice of their span.
 
-    The direction lattice is saturated via the Smith form, so `forward`
-    hits every lattice point of the affine span, not only the sublattice
-    generated by differences of the inputs. Example: the segment from
-    (0, 0) to (2, 2) normalizes to [0, 2] in Z, its midpoint included.
+    Hermite forms only. The transform rows of the HNF of diffs^T at its
+    zero rows are the span equations; the integer kernel of the equations
+    is the saturated direction lattice, whose row HNF is `basis` (W, or
+    I_n when there are no equations). The HNF transform of W^T brings it
+    to [I_d; 0], so its first d rows are `matrix`, with matrix . W^T =
+    I_d. `forward` therefore hits every lattice point of the affine span,
+    not only the sublattice generated by differences of the inputs.
+    Example: the segment from (0, 0) to (2, 2) normalizes to [0, 2] in Z,
+    its midpoint included.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -452,30 +321,25 @@ def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
     if not diffs or n == 0:
         return AffineNormalization(matrix=(), base=base, basis=(), dim=0)
 
-    _, D, V = _smith_engine(diffs)
-    d = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    if d == 0:
-        return AffineNormalization(matrix=(), base=base, basis=(), dim=0)
-    Vinv = unimodular_inverse(V)
-    W = [list(Vinv[i]) for i in range(d)]
-    # tidy the basis; the row lattice is unchanged under left-unimodular ops
-    Wh, _ = hermite_normal_form(W)
-    W = [row for row in Wh if any(row)]
+    equations = _left_kernel(transpose(diffs))
+    d = n - len(equations)
+    W = identity(n)
+    if equations:
+        # the row lattice of the kernel is saturated; HNF makes W canonical
+        Wh, _ = hermite_normal_form(_left_kernel(transpose(equations)))
+        W = [row for row in Wh if any(row)]
     if len(W) != d:
         raise InternalConsistencyError("saturation basis lost rank")
 
-    # extend W to a unimodular matrix and read the dual projection off its
-    # inverse: A = first d rows of (Wtilde^T)^-1 gives A . W^T = I_d
-    _, D2, V2 = _smith_engine(W)
-    if any(D2[i][i] != 1 for i in range(d)):
+    H, U = hermite_normal_form(transpose(W))
+    if H != [row[:d] for row in identity(n)]:
         raise InternalConsistencyError("span lattice basis is not saturated")
-    V2inv = unimodular_inverse(V2)
-    Wtilde = [list(r) for r in W] + [list(V2inv[i]) for i in range(d, n)]
-    Winv = unimodular_inverse(Wtilde)
-    A = [tuple(Winv[j][i] for j in range(n)) for i in range(d)]
 
     norm = AffineNormalization(
-        matrix=tuple(A), base=base, basis=tuple(tuple(r) for r in W), dim=d
+        matrix=tuple(tuple(r) for r in U[:d]),
+        base=base,
+        basis=tuple(tuple(r) for r in W),
+        dim=d,
     )
     for p in pts:
         if norm.backward(norm.forward(p)) != p:

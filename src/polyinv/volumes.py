@@ -20,14 +20,15 @@ left come from counts at n = 1..floor((k - 1)/2) (Macdonald 1971; Beck
 & Robins, "Computing the Continuous Discretely", ch. 4-5). Faces of
 dimension <= 2 are never counted.
 
-Lattice counts use a bounding-box scan of a lattice normalization of the
-face's span (`_face_model`; the polytope itself is scanned in its own
-model) with exact inequality tests. No floating
-point, no approximation. Counting runs in the ambient lattice of the
-dilated face: for a face F and a dilation n the count is |nF cap Z^n|,
-which agrees with counting in the span lattice of F whenever that span
-passes through the origin. `ehrhart` interpolates such direct counts,
-so it is independent of the structural route.
+Lattice counts |nF cap Z^ambient| run in P's own model, an affine
+lattice isomorphism of aff(P) cap Z^ambient onto Z^dim, so no face is
+normalized (`_count_dilate`): F is cut out by P's facet inequalities and
+the reversed inequality of each facet containing it. The scan of the
+dilated bounding box of F fixes one coordinate at a time; the values of
+a coordinate that can still reach a point form an interval, solved from
+the inequalities, and the last coordinate adds its interval's length.
+No floating point, no approximation. `ehrhart` interpolates such direct
+counts, so it is independent of the structural route.
 """
 
 from __future__ import annotations
@@ -194,60 +195,62 @@ def _face_ehrhart(face: Face, boundary: list[int], scale: int) -> tuple[int, ...
     return tuple(coeffs)
 
 
-def _face_model(P: Polytope, face: Face):
-    """(vertex coords, inequalities) of a face in a lattice normalization
-    of its span; the restricted facets not containing the face cut it out.
-    The top face is P's own model."""
-    if face.dim == P.dim:
-        return P._nverts, P._nfacets
-    key = ("fmodel", face.vertex_ids)
-    if key not in P._cache:
-        norm = la.affine_normalize([P._nverts[i] for i in face.vertex_ids])
-        coords = [norm.forward(P._nverts[i]) for i in face.vertex_ids]
-        ineqs = []
-        for j, (a, b) in enumerate(P._nfacets):
-            if j not in face.facet_ids:
-                ra = tuple(la.dot(w, a) for w in norm.basis)
-                ineqs.append((ra, b - la.dot(a, norm.base)))
-        P._cache[key] = (coords, ineqs)
-    return P._cache[key]
-
-
 def _count_dilate(P: Polytope, face: Face, n: int) -> int:
+    """|nF cap Z^ambient|, counted in P's own model.
+
+    The model map is an affine lattice isomorphism of aff(P) cap Z^ambient
+    onto Z^dim, so the count is |n F_model cap Z^dim|. F_model is cut out
+    by P's facet inequalities and, for each facet containing F, the
+    reversed one; the scan runs over the bounding box of F's vertices.
+    """
     if face.dim == 0:
         return 1
-    coords, ineqs = _face_model(P, face)
-    lo, hi = la.bounding_box(coords)
-    d = len(lo)
-    lo = [n * x for x in lo]
-    hi = [n * x for x in hi]
-    # coordinate-by-coordinate scan; a branch dies as soon as some
-    # inequality cannot be met even with the best remaining coordinates
+    ineqs = list(P._nfacets)
+    for j in face.facet_ids:
+        a, b = P._nfacets[j]
+        ineqs.append((tuple(-x for x in a), -b))
+    lo, hi = la.bounding_box(P._nverts[i] for i in face.vertex_ids)
+    d = P.dim
+    # the widest coordinate goes last, where it costs one interval
+    order = sorted(range(d), key=lambda j: hi[j] - lo[j])
+    lo = [n * lo[j] for j in order]
+    hi = [n * hi[j] for j in order]
+    # sufmax[j]: the largest value coordinates j.. can add to a . y in the box
     systems = []
     for a, b in ineqs:
+        a = [a[j] for j in order]
         sufmax = [0] * (d + 1)
         for j in range(d - 1, -1, -1):
             cj = a[j]
             sufmax[j] = sufmax[j + 1] + max(cj * lo[j], cj * hi[j])
         systems.append((a, n * b, sufmax))
 
+    # coordinate-by-coordinate scan. A branch survives a value y of
+    # coordinate j iff p + a_j y + sufmax[j + 1] >= rhs for every system;
+    # that is linear in y, so the surviving values form an interval
     count = 0
+    last = d - 1
     stack = [(0, [0] * len(systems))]
     while stack:
         j, partials = stack.pop()
-        if j == d:
-            count += 1
-            continue
-        for y in range(lo[j], hi[j] + 1):
-            nxt = []
-            ok = True
-            for (a, rhs, suf), p in zip(systems, partials):
-                p2 = p + a[j] * y
-                if p2 + suf[j + 1] < rhs:
-                    ok = False
-                    break
-                nxt.append(p2)
-            if ok:
+        ylo, yhi = lo[j], hi[j]
+        for (a, rhs, suf), p in zip(systems, partials):
+            aj = a[j]
+            t = rhs - p - suf[j + 1]
+            if aj > 0:
+                ylo = max(ylo, -(-t // aj))
+            elif aj < 0:
+                yhi = min(yhi, t // aj)
+            elif t > 0:
+                yhi = ylo - 1
+            if ylo > yhi:
+                break
+        else:
+            if j == last:
+                count += yhi - ylo + 1
+                continue
+            for y in range(ylo, yhi + 1):
+                nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
                 stack.append((j + 1, nxt))
     return count
 

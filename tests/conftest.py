@@ -11,6 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from polyinv import Polytope, cube, hypersimplex, product, projective_join, simplex
 
@@ -212,6 +213,34 @@ def build_join_corpus():
     add(rects)  # rectangles share the square fan; k = 3, r = 5
     assert len(out) >= 20
     return out
+
+
+@st.composite
+def hull_inputs(draw):
+    """Point sets of affine dimension up to 5: even lattice points, some
+    pushed onto one coordinate hyperplane, plus integral midpoints and
+    repeats; optionally lifted into a hyperplane of Z^(m+1)."""
+    m = draw(st.sampled_from((1, 2, 3, 4, 5)))
+    k = draw(st.integers(m + 1, m + 4))
+    coord = st.integers(-1, 1)
+    base = draw(
+        st.lists(st.tuples(*[coord] * m), min_size=k, max_size=k, unique=True)
+    )
+    flat = draw(st.integers(0, k))
+    pts = [
+        tuple(2 * x for x in p[:-1]) + ((-2,) if i < flat else (2 * p[-1],))
+        for i, p in enumerate(base)
+    ]
+    for i, j in draw(
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3)
+    ):
+        pts.append(tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])))
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=2))]
+    if m < 5 and draw(st.booleans()):
+        c = draw(st.tuples(*[coord] * m))
+        t = draw(coord)
+        pts = [p + (sum(x * y for x, y in zip(c, p)) + t,) for p in pts]
+    return draw(st.permutations(pts))
 
 
 UNIMODULAR_TRANSFORMS = {

@@ -7,7 +7,10 @@ Fractions for feasibility questions, supporting-hyperplane face
 detection by subset enumeration, the graded face lattice pass on
 frozensets, facets by hyperplanes through every affinely independent
 point subset, half-open parallelotope point counts, and bounding-box
-lattice counts with convex-hull membership tests.
+lattice counts with convex-hull membership tests. The last section
+keeps retired library routines (the Smith normal form, the Smith route
+to `affine_normalize` and the per-face normalized box scan) as
+differential oracles; those build on the library's Hermite form.
 Slow on purpose; used only at desk scale.
 """
 
@@ -16,6 +19,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from polyinv import linalg as la
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +432,227 @@ def oracle_normalized_volume(vertices):
     nvol = lead * fact
     assert nvol.denominator == 1 and nvol > 0
     return int(nvol)
+
+
+# ---------------------------------------------------------------------------
+# retired library routines, kept as differential oracles
+#
+# Unlike the rest of this module these build on the library's Hermite
+# form, its `AffineNormalization` and a polytope's normalized model: they
+# are the code that the Hermite-only `affine_normalize` and the interval
+# scan in P's own model replaced, kept to check that the replacements give
+# the same bases and the same counts.
+
+
+def _xgcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def _smith_engine(M):
+    D = la.copy_matrix(M)
+    m = len(D)
+    n = len(D[0]) if m else 0
+    U = la.identity(m)
+    V = la.identity(n)
+
+    def clear_col_entry(t, i):
+        # zero D[i][t] using row t; keeps det(U) = +-1
+        a, b = D[t][t], D[i][t]
+        if b == 0:
+            return
+        if a != 0 and b % a == 0:
+            q = b // a
+            for j in range(n):
+                D[i][j] -= q * D[t][j]
+            for j in range(m):
+                U[i][j] -= q * U[t][j]
+            return
+        g, x, y = _xgcd(a, b)
+        u, v = -(b // g), a // g  # u*a + v*b = 0, det = 1
+        for j in range(n):
+            dt, di = D[t][j], D[i][j]
+            D[t][j] = x * dt + y * di
+            D[i][j] = u * dt + v * di
+        for j in range(m):
+            ut, ui = U[t][j], U[i][j]
+            U[t][j] = x * ut + y * ui
+            U[i][j] = u * ut + v * ui
+
+    def clear_row_entry(t, j):
+        a, b = D[t][t], D[t][j]
+        if b == 0:
+            return
+        if a != 0 and b % a == 0:
+            q = b // a
+            for i in range(m):
+                D[i][j] -= q * D[i][t]
+            for i in range(n):
+                V[i][j] -= q * V[i][t]
+            return
+        g, x, y = _xgcd(a, b)
+        u, v = -(b // g), a // g
+        for i in range(m):
+            dt, dj = D[i][t], D[i][j]
+            D[i][t] = x * dt + y * dj
+            D[i][j] = u * dt + v * dj
+        for i in range(n):
+            vt, vj = V[i][t], V[i][j]
+            V[i][t] = x * vt + y * vj
+            V[i][j] = u * vt + v * vj
+
+    def diagonalize_from(t):
+        while True:
+            for i in range(t + 1, m):
+                clear_col_entry(t, i)
+            for j in range(t + 1, n):
+                clear_row_entry(t, j)
+            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
+                D[t][j] == 0 for j in range(t + 1, n)
+            ):
+                return
+
+    t = 0
+    while t < min(m, n):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if D[i][j] != 0:
+                    piv = (i, j)
+                    break
+            if piv:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            D[t], D[i] = D[i], D[t]
+            U[t], U[i] = U[i], U[t]
+        if j != t:
+            for r_ in range(m):
+                D[r_][t], D[r_][j] = D[r_][j], D[r_][t]
+            for r_ in range(n):
+                V[r_][t], V[r_][j] = V[r_][j], V[r_][t]
+        diagonalize_from(t)
+        t += 1
+
+    def make_nonneg(i):
+        if D[i][i] < 0:
+            for j in range(n):
+                D[i][j] = -D[i][j]
+            for j in range(m):
+                U[i][j] = -U[i][j]
+
+    for i in range(min(m, n)):
+        make_nonneg(i)
+
+    # enforce the divisibility chain d1 | d2 | ...
+    changed = True
+    while changed:
+        changed = False
+        for i in range(min(m, n) - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if a != 0 and b % a != 0:
+                # fold d_{i+1} under the pivot, re-diagonalize the pair
+                for r_ in range(m):
+                    D[r_][i] += D[r_][i + 1]
+                for r_ in range(n):
+                    V[r_][i] += V[r_][i + 1]
+                diagonalize_from(i)
+                make_nonneg(i)
+                make_nonneg(i + 1)
+                changed = True
+    return U, D, V
+
+
+def smith_normal_form(M):
+    """Smith normal form: returns (U, D, V) with U * M * V = D.
+
+    D is diagonal with nonnegative entries satisfying d1 | d2 | ...,
+    and U, V are unimodular.
+    """
+    U, D, V = _smith_engine(M)
+    assert la.mat_mul(la.mat_mul(U, la.copy_matrix(M)), V) == D
+    return U, D, V
+
+
+def smith_affine_normalize(points):
+    """The Smith-form route to `affine_normalize`: the saturated direction
+    lattice from the Smith form of the differences, tidied by HNF, and the
+    dual projection from the inverse of a unimodular completion."""
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    base = min(pts)
+    diffs = [list(la.vec_sub(p, base)) for p in pts if p != base]
+    if not diffs or n == 0:
+        return la.AffineNormalization(matrix=(), base=base, basis=(), dim=0)
+    _, D, V = _smith_engine(diffs)
+    d = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
+    Vinv = la.unimodular_inverse(V)
+    Wh, _ = la.hermite_normal_form([list(Vinv[i]) for i in range(d)])
+    W = [row for row in Wh if any(row)]
+    assert len(W) == d
+    _, D2, V2 = _smith_engine(W)
+    assert all(D2[i][i] == 1 for i in range(d))
+    V2inv = la.unimodular_inverse(V2)
+    Wtilde = [list(r) for r in W] + [list(V2inv[i]) for i in range(d, n)]
+    Winv = la.unimodular_inverse(Wtilde)
+    A = [tuple(Winv[j][i] for j in range(n)) for i in range(d)]
+    return la.AffineNormalization(
+        matrix=tuple(A), base=base, basis=tuple(tuple(r) for r in W), dim=d
+    )
+
+
+def face_model_scan_count(P, face, n):
+    """|n F cap Z^ambient| by the per-face route: normalize the span of F's
+    model vertices (in P's model), restrict the facets of P that do not
+    contain F to it, and test every value of every coordinate of the
+    dilated bounding box, pruning a branch once some inequality cannot be
+    met with the best remaining coordinates."""
+    if face.dim == 0:
+        return 1
+    if face.dim == P.dim:
+        coords, ineqs = P._nverts, P._nfacets
+    else:
+        norm = smith_affine_normalize([P._nverts[i] for i in face.vertex_ids])
+        coords = [norm.forward(P._nverts[i]) for i in face.vertex_ids]
+        ineqs = []
+        for j, (a, b) in enumerate(P._nfacets):
+            if j not in face.facet_ids:
+                ra = tuple(la.dot(w, a) for w in norm.basis)
+                ineqs.append((ra, b - la.dot(a, norm.base)))
+    lo, hi = la.bounding_box(coords)
+    d = len(lo)
+    lo = [n * x for x in lo]
+    hi = [n * x for x in hi]
+    systems = []
+    for a, b in ineqs:
+        sufmax = [0] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            sufmax[j] = sufmax[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
+        systems.append((a, n * b, sufmax))
+    count = 0
+    stack = [(0, [0] * len(systems))]
+    while stack:
+        j, partials = stack.pop()
+        if j == d:
+            count += 1
+            continue
+        for y in range(lo[j], hi[j] + 1):
+            nxt = []
+            for (a, rhs, suf), p in zip(systems, partials):
+                p2 = p + a[j] * y
+                if p2 + suf[j + 1] < rhs:
+                    break
+                nxt.append(p2)
+            else:
+                stack.append((j + 1, nxt))
+    return count

@@ -21,6 +21,7 @@ from polyinv import (
     report,
     simplex,
 )
+from polyinv import invariants, volumes
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError, NotSimpleError
 from polyinv.invariants import c_grade_terms
@@ -230,7 +231,8 @@ class TestFPolynomial:
 class TestNoHang:
     """Small inputs whose dilates have huge bounding boxes: the
     structural Ehrhart build counts no face of dimension <= 2 and the
-    3-face once."""
+    3-face once, and the count scans the widest coordinate last, so the
+    sheared simplex costs about m scan nodes rather than m^2."""
 
     def test_long_triangle(self):
         P = Polytope.from_vertices([(0, 0), (10**8, 0), (0, 1)])
@@ -249,14 +251,62 @@ class TestNoHang:
         # L_P(1) = 1 + 50000001 + 50000000
         assert json.loads(out)["lattice_points"] == 100000002
 
-    def test_sheared_unimodular_simplex(self):
-        m = 40
-        P = Polytope.from_vertices([(0, 0, 0), (1, 0, 0), (m, 1, 0), (m * m, m, 1)])
+    @staticmethod
+    def _sheared_simplex(m):
+        # unimodular for every m, so 4 lattice points; its bounding box
+        # holds about m^3 points
+        return [(0, 0, 0), (1, 0, 0), (m, 1, 0), (m * m, m, 1)]
+
+    @pytest.mark.parametrize("m", [40, 160, 1000])
+    def test_sheared_unimodular_simplex(self, m):
+        P = Polytope.from_vertices(self._sheared_simplex(m))
         start = time.perf_counter()
         rep = report(P)
         assert time.perf_counter() - start < 1.0
         assert rep.c == 0
         assert rep.f_coefficients == tuple(f_polynomial(simplex(3)))
+
+    def test_info_on_sheared_simplex(self):
+        doc = {"ambient_dim": 3, "vertices": self._sheared_simplex(160)}
+        start = time.perf_counter()
+        code, out = run(CliConfig(command="info"), json.dumps(doc).encode())
+        assert time.perf_counter() - start < 1.0
+        assert code == 0, out
+        assert json.loads(out)["lattice_points"] == 4
+
+
+class TestNamedErrors:
+    """The identity checks of c_star, report and `ehrhart --dilations`
+    name the polytope; through the CLI they exit with code 3."""
+
+    DOC = {"name": "unit-square", "ambient_dim": 2,
+           "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+
+    def _run(self, config):
+        code, out = run(config, json.dumps(self.DOC).encode())
+        assert code == 3, out
+        return out.decode()
+
+    def test_c_star_differs_from_c(self, monkeypatch):
+        monkeypatch.setattr(invariants, "mult", lambda P, f: 1 + (f.dim == 0))
+        out = self._run(CliConfig(command="invariants"))
+        assert "c_star differs from c on a Delzant input" in out
+        assert "polytope unit-square, face (0, 1, 2, 3)" in out
+
+    def test_report_c_star_check(self, monkeypatch):
+        monkeypatch.setattr(invariants, "c_star", lambda P: Fraction(7))
+        out = self._run(CliConfig(command="invariants"))
+        assert "c_star != c on Delzant input" in out
+        assert "polytope unit-square, face (0, 1, 2, 3)" in out
+
+    def test_ehrhart_direct_count(self, monkeypatch):
+        count = volumes.lattice_points
+        monkeypatch.setattr(
+            volumes, "lattice_points", lambda f, n: count(f, n) + (n > f.dim + 1)
+        )
+        out = self._run(CliConfig(command="ehrhart", dilation_max=5))
+        assert "Ehrhart polynomial disagrees with a direct count" in out
+        assert "polytope unit-square, face (0, 1, 2, 3)" in out
 
 
 class TestDualDegree:

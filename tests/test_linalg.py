@@ -84,22 +84,22 @@ class TestHermite:
 class TestSmith:
     def test_identity(self):
         I3 = la.identity(3)
-        U, D, V = la.smith_normal_form(I3)
+        U, D, V = oracles.smith_normal_form(I3)
         assert D == I3
 
     def test_diag_2_3(self):
-        U, D, V = la.smith_normal_form([[2, 0], [0, 3]])
+        U, D, V = oracles.smith_normal_form([[2, 0], [0, 3]])
         assert D == [[1, 0], [0, 6]]
 
     def test_zero_1x1(self):
-        U, D, V = la.smith_normal_form([[0]])
+        U, D, V = oracles.smith_normal_form([[0]])
         assert D == [[0]]
         assert U == [[1]] and V == [[1]]
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(small_matrix())
     def test_identity_and_chain(self, M):
-        U, D, V = la.smith_normal_form(M)
+        U, D, V = oracles.smith_normal_form(M)
         assert la.mat_mul(la.mat_mul(U, M), V) == D
         assert abs(la.det(U)) == 1 and abs(la.det(V)) == 1
         m, n = len(D), len(D[0])
@@ -118,7 +118,7 @@ class TestSmith:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3))
     def test_square_det_preserved(self, M):
-        U, D, V = la.smith_normal_form(M)
+        U, D, V = oracles.smith_normal_form(M)
         prod = 1
         for i in range(3):
             prod *= D[i][i]
@@ -168,7 +168,7 @@ class TestLatticeIndex:
         if la.rank([list(g) for g in gens]) != len(gens):
             return
         idx = la.lattice_index(gens)
-        _, D, _ = la.smith_normal_form(gens)
+        _, D, _ = oracles.smith_normal_form(gens)
         assert idx == math.prod(D[i][i] for i in range(len(gens)))
         if idx <= 50:
             assert idx == oracles.parallelotope_points(gens)
@@ -236,3 +236,47 @@ class TestAffineNormalize:
         for p in pts:
             assert norm.backward(norm.forward(p)) == p
         assert norm.dim == oracles.affine_dim(pts)
+
+
+@st.composite
+def span_inputs(draw, n, r):
+    """Point sets in Z^n of affine rank r (now and then less): r + 1 to
+    r + 3 points of [-3, 3]^r lifted by an integer n x r matrix, its
+    diagonal raised by 1..3 so that it is often not saturated, and
+    translated, with repeated points."""
+    k = draw(st.integers(r + 1, r + 3))
+    coord = st.integers(-3, 3)
+    local = draw(st.lists(st.tuples(*[coord] * r), min_size=k, max_size=k))
+    entry = st.integers(-2, 2)
+    lift = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
+    for i in range(r):
+        lift[i][i] += draw(st.integers(1, 3))
+    shift = draw(st.tuples(*[st.integers(-5, 5)] * n))
+    pts = [
+        tuple(s + sum(a * x for a, x in zip(row, p)) for row, s in zip(lift, shift))
+        for p in local
+    ]
+    pts += [pts[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=2))]
+    return draw(st.permutations(pts))
+
+
+class TestHermiteOnlyNormalization:
+    """The HNF-only `affine_normalize` against the Smith-form route it
+    replaced: the same base, dimension and basis. `matrix` may differ on
+    lower-dimensional spans; it must be a left inverse of the basis."""
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(1, 7) for r in range(n + 1)]
+    )
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_smith_route(self, n, r, data):
+        pts = data.draw(span_inputs(n, r))
+        norm = la.affine_normalize(pts)
+        smith = oracles.smith_affine_normalize(pts)
+        assert (norm.base, norm.dim, norm.basis) == (smith.base, smith.dim, smith.basis)
+        assert norm.dim == oracles.affine_dim(pts)
+        product = [[la.dot(a, w) for w in norm.basis] for a in norm.matrix]
+        assert product == la.identity(norm.dim)
+        for p in pts:
+            assert norm.backward(norm.forward(p)) == p

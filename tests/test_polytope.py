@@ -10,7 +10,7 @@ from polyinv import Polytope, cube, hypersimplex, simplex
 from polyinv.errors import DomainError, InternalConsistencyError
 
 import oracles
-from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS
+from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS, hull_inputs
 
 
 class TestFromVertices:
@@ -52,6 +52,25 @@ class TestFromVertices:
             for a, b in P.facets:
                 for v in P.vertices:
                     assert sum(x * y for x, y in zip(a, v)) >= b
+
+    def test_lower_dimensional_facets(self):
+        # ambient normals of a lower-dimensional polytope are fixed only
+        # modulo its span equations; these are the ones the HNF-only
+        # normalization gives
+        assert hypersimplex(2, 4).facets == (
+            ((0, 0, 0, 1), 0),
+            ((-1, 0, 0, 0), -1),
+            ((0, -1, 0, 0), -1),
+            ((1, 1, 0, 1), 1),
+            ((-1, -1, 0, -1), -2),
+            ((0, 1, 0, 0), 0),
+            ((1, 0, 0, 0), 0),
+            ((0, 0, 0, -1), -1),
+        )
+        triangle = Polytope.from_vertices([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert triangle.facets == (((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, 0), 0))
+        segment = Polytope.from_vertices([(0, 0, 0), (2, 2, 2)])
+        assert segment.facets == (((0, 0, -1), -2), ((0, 0, 1), 0))
 
     def test_span_equations_hold(self, small_corpus):
         for P in small_corpus:
@@ -163,34 +182,6 @@ class TestFaceLatticeGuardrails:
         P._incidence = ((1 << P.n_vertices) - 1,) + P._incidence[1:]
         with pytest.raises(InternalConsistencyError, match="top face lies on a facet"):
             P.face_lattice()
-
-
-@st.composite
-def hull_inputs(draw):
-    """Point sets of affine dimension up to 5: even lattice points, some
-    pushed onto one coordinate hyperplane, plus integral midpoints and
-    repeats; optionally lifted into a hyperplane of Z^(m+1)."""
-    m = draw(st.sampled_from((1, 2, 3, 4, 5)))
-    k = draw(st.integers(m + 1, m + 4))
-    coord = st.integers(-1, 1)
-    base = draw(
-        st.lists(st.tuples(*[coord] * m), min_size=k, max_size=k, unique=True)
-    )
-    flat = draw(st.integers(0, k))
-    pts = [
-        tuple(2 * x for x in p[:-1]) + ((-2,) if i < flat else (2 * p[-1],))
-        for i, p in enumerate(base)
-    ]
-    for i, j in draw(
-        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=3)
-    ):
-        pts.append(tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])))
-    pts += [pts[i] for i in draw(st.lists(st.integers(0, k - 1), max_size=2))]
-    if m < 5 and draw(st.booleans()):
-        c = draw(st.tuples(*[coord] * m))
-        t = draw(coord)
-        pts = [p + (sum(x * y for x, y in zip(c, p)) + t,) for p in pts]
-    return draw(st.permutations(pts))
 
 
 class TestHullOracle:

@@ -19,7 +19,7 @@ from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.volumes import ehrhart_polynomial
 
 import oracles
-from conftest import UNIMODULAR_TRANSFORMS
+from conftest import UNIMODULAR_TRANSFORMS, hull_inputs
 
 
 class TestNormalizedVolume:
@@ -287,3 +287,34 @@ class TestStructuralEhrhartChecks:
             ehrhart_polynomial(P)
         assert f"face {top.vertex_ids}" in str(err.value)
         assert "polytope cube(2,1)" in str(err.value)
+
+
+class TestCountInOwnModel:
+    """`lattice_points` (the interval scan in P's own model) against the
+    per-face normalized box scan it replaced and, where cheap, against
+    hull membership of every point of the dilated bounding box."""
+
+    def test_corpora(self, small_corpus, join_corpus):
+        for P in small_corpus + [J for J, _k, _r in join_corpus]:
+            for f in P.face_lattice():
+                for n in (1, 2, 3):
+                    assert lattice_points(f, n) == oracles.face_model_scan_count(
+                        P, f, n
+                    ), (P.name, f.vertex_ids, n)
+                if P.ambient_dim <= 3:
+                    assert lattice_points(f, 2) == oracles.box_count(f.vertices, 2)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_sheared_hull_inputs(self, data):
+        pts = data.draw(hull_inputs())
+        U, t = data.draw(unimodular_maps(len(pts[0])))
+        P = Polytope.from_vertices(
+            [tuple(sum(u * x for u, x in zip(row, p)) + s for row, s in zip(U, t))
+             for p in pts]
+        )
+        for f in P.face_lattice():
+            for n in (1, 2, 3):
+                assert lattice_points(f, n) == oracles.face_model_scan_count(
+                    P, f, n
+                ), (f.vertex_ids, n)

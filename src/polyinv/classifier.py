@@ -7,20 +7,26 @@ unimodular r-simplex (dual defect r) or a projective join of k+1
 strongly isomorphic Delzant fibers of dimension r - k, with
 max(2, ceil((r+1)/2)) <= k <= r - 1 and dual defect d = 2k - r.
 
-`decompose_join` searches for that structure directly: subsets of k+1
-primitive facet normals summing to zero and spanning a saturated rank-k
-lattice are exactly the candidates for pulled-back simplex facet
-normals; each candidate projection is accepted only if the image is the
-standard unimodular k-simplex, the vertex fibers are (r-k)-dimensional
-Delzant and strongly isomorphic, and the rebuilt projective join of the
-fibers is the image of the input under a unimodular map. The
-decomposition predicts where each vertex of P lands in the rebuilt join
-(its fiber coordinates followed by its simplex vertex), so that map is
-solved from the predicted correspondence and checked on every vertex
-(`equivalence.paired_unimodular_map`); its last k rows must be the
-reported projection. This reconstruction check, not the search
-heuristic, is the correctness anchor. Ties are broken deterministically:
-maximal k first, then the lexicographically smallest facet subset.
+`decompose_join` searches for that structure directly, one search for
+every k from r down. The unimodular r-simplex is the case k = r, whose
+fibers are its vertices. In a join over the k-simplex, the facet pulled
+back from the i-th facet of the simplex contains every vertex of P but
+those of fiber i (Dickenstein, Di Rocco & Piene 2009). So the candidates
+are the facets whose vertex complement is an (r-k)-face, and a subset
+of k+1 of them is tried only when its complements are disjoint and
+cover every vertex (an exact cover). A subset passes when its primitive
+facet normals sum to zero and span a saturated rank-k lattice, the
+projection they give maps P onto the standard unimodular k-simplex, and
+the vertex fibers are (r-k)-dimensional, Delzant and strongly
+isomorphic. The decomposition predicts where each vertex of P lands in
+the projective join of the fibers (its fiber coordinates followed by
+its simplex vertex); those images are the join's vertices by
+construction, so the join is not rebuilt. The unimodular map fixed by
+that correspondence is solved and checked on every vertex
+(`equivalence.paired_unimodular_map`), and its last k rows must be the
+reported projection. This check, not the search, is the correctness
+anchor. Ties are broken by one rule for every k: maximal k first, then
+the lexicographically smallest facet subset in facet order.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg as la
-from .constructions import JoinSpec, projective_join
+from .constructions import JoinSpec
 from .equivalence import paired_unimodular_map
 from .errors import DomainError, InternalConsistencyError, broken_identity
 from .invariants import c, c_star, dual_degree
@@ -57,7 +63,8 @@ class JoinDecomposition:
     simplex vertices (fiber 0 over the origin, fiber i over e_i), given
     as full-dimensional polytopes in one shared normalization so that
     `projective_join(fibers)` rebuilds the input up to unimodular
-    equivalence. `defect` is r for the simplex case and 2k - r otherwise.
+    equivalence. `defect` is 2k - r; the unimodular r-simplex is the case
+    k = r, with point fibers and defect r.
     `to_dict` writes the image as the document of `simplex(k)`.
     """
 
@@ -71,10 +78,9 @@ class JoinDecomposition:
         r = self.fibers[0].dim + self.k
         if not _k_min(r) <= self.k <= r:
             raise InternalConsistencyError("join parameter outside classified range")
-        expected = r if self.k == r else 2 * self.k - r
-        if self.defect != expected:
+        if self.defect != 2 * self.k - r:
             raise InternalConsistencyError("defect value inconsistent with k")
-        if self.k < r and (self.defect - r) % 2 != 0:
+        if (self.defect - r) % 2 != 0:
             raise InternalConsistencyError("defect parity violated")
 
     def to_dict(self) -> dict:
@@ -110,46 +116,28 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
     if c(P) != 0:
         return None
     r = P.dim
-
-    if len(P.vertices) == r + 1:
-        dec = _simplex_decomposition(P)
-        if dec is not None:
-            return dec
-        raise InternalConsistencyError("classification violated")
-
-    face_by_mask = {sum(1 << i for i in f.vertex_ids): f for f in P.face_lattice()}
-    nfacets = P._nfacets
-    for k in range(r - 1, _k_min(r) - 1, -1):
-        for J in itertools.combinations(range(len(nfacets)), k + 1):
-            dec = _try_subset(P, J, k, face_by_mask)
+    full = (1 << len(P.vertices)) - 1
+    dim_of = {sum(1 << i for i in f.vertex_ids): f.dim for f in P.face_lattice()}
+    complements = [full & ~t for t in P._incidence]
+    for k in range(r, _k_min(r) - 1, -1):
+        candidates = [j for j, m in enumerate(complements) if dim_of.get(m) == r - k]
+        for J in itertools.combinations(candidates, k + 1):
+            if not _exact_cover([complements[j] for j in J], full):
+                continue
+            dec = _try_subset(P, J, k, dim_of)
             if dec is not None:
                 return dec
-    raise InternalConsistencyError("classification violated")
+    raise broken_identity("classification violated", P.top_face())
 
 
-def _simplex_decomposition(P: Polytope) -> Optional[JoinDecomposition]:
-    r = P.dim
-    v0 = P._nverts[0]
-    dirs = [
-        list(la.primitive(la.vec_sub(P._nverts[i], v0)))
-        for i in range(1, r + 1)
-    ]
-    cols = la.transpose(dirs)
-    if abs(la.det(cols)) != 1:
-        return None
-    M = la.unimodular_inverse(cols)
-    shift = tuple(-x for x in la.mat_vec(M, v0))
-    images = [la.vec_add(la.mat_vec(M, v), shift) for v in P._nverts]
-    fibers = tuple(Polytope.from_vertices([()]) for _ in range(r + 1))
-    if not _certified(P, images, JoinSpec.build(fibers), M, shift):
-        return None
-    return JoinDecomposition(
-        k=r,
-        defect=r,
-        projection_matrix=tuple(tuple(row) for row in M),
-        projection_shift=shift,
-        fibers=fibers,
-    )
+def _exact_cover(masks, full) -> bool:
+    """True when the masks are pairwise disjoint and their union is `full`."""
+    seen = 0
+    for m in masks:
+        if seen & m:
+            return False
+        seen |= m
+    return seen == full
 
 
 def _standard_simplex_vertices(k: int) -> list:
@@ -157,15 +145,9 @@ def _standard_simplex_vertices(k: int) -> list:
     return [tuple(int(j == i - 1) for j in range(k)) for i in range(k + 1)]
 
 
-def _certified(P, images, spec, proj_rows, shift) -> bool:
-    """True when `images` is the vertex set of the rebuilt join of `spec`
-    and a unimodular map sends P's i-th model vertex to images[i], with
-    the projection as its last k rows (the join's simplex coordinates).
-
-    The rebuilt join is full-dimensional in Z^r, so its ambient
-    coordinates are a lattice model of it."""
-    if sorted(images) != list(projective_join(spec).vertices):
-        return False
+def _certified(P, images, proj_rows, shift) -> bool:
+    """True when a unimodular map sends P's i-th model vertex to images[i],
+    with the projection as its last k rows (the join's simplex coordinates)."""
     found = paired_unimodular_map(P._nverts, images)
     if found is None:
         return False
@@ -174,7 +156,7 @@ def _certified(P, images, spec, proj_rows, shift) -> bool:
     return M[-k:] == [list(a) for a in proj_rows] and t[-k:] == tuple(shift)
 
 
-def _try_subset(P, J, k, face_by_mask) -> Optional[JoinDecomposition]:
+def _try_subset(P, J, k, dim_of) -> Optional[JoinDecomposition]:
     r = P.dim
     normals = [P._nfacets[j][0] for j in J]
     if any(sum(a[i] for a in normals) != 0 for i in range(r)):
@@ -201,8 +183,7 @@ def _try_subset(P, J, k, face_by_mask) -> Optional[JoinDecomposition]:
 
     # each fiber must be a face of P of dimension r - k
     for vids in fiber_vids:
-        face = face_by_mask.get(sum(1 << i for i in vids))
-        if face is None or face.dim != r - k:
+        if dim_of.get(sum(1 << i for i in vids)) != r - k:
             return None
 
     # shared normalization of the (parallel) fiber spans
@@ -210,8 +191,9 @@ def _try_subset(P, J, k, face_by_mask) -> Optional[JoinDecomposition]:
     norm0 = la.affine_normalize(base_pts)
     basis0 = [list(w) for w in norm0.basis]
     fibers = []
-    # where each vertex lands in the rebuilt join: its fiber coordinates,
-    # then the simplex vertex e_i of its fiber, as `projective_join` lists it
+    # where each vertex lands in the join of the fibers: its fiber
+    # coordinates, then the simplex vertex e_i of its fiber, as
+    # `projective_join` lists it
     join_images: list = [None] * len(P._nverts)
     for vids, e_i in zip(fiber_vids, _standard_simplex_vertices(k)):
         pts = [P._nverts[i] for i in vids]
@@ -232,10 +214,10 @@ def _try_subset(P, J, k, face_by_mask) -> Optional[JoinDecomposition]:
             join_images[vid] = x + e_i
 
     try:
-        spec = JoinSpec.build(fibers)
+        JoinSpec.build(fibers)  # the fibers are strongly isomorphic
     except DomainError:
         return None
-    if not _certified(P, join_images, spec, proj_rows, shift):
+    if not _certified(P, join_images, proj_rows, shift):
         return None
     return JoinDecomposition(
         k=k,

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from polyinv import simplex
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError
 
@@ -133,6 +134,24 @@ class TestPipelines:
         )
         assert out["samples"]["6"] == 28
         assert out["polynomial"] == ["1", "3/2", "1/2"]
+
+    def test_sheared_simplex_projection_pinned(self):
+        # a unimodular simplex is the join case k = r: its projection rows
+        # are facet normals in facet order
+        verts = [[0, 0, 0], [1, 0, 0], [80, 1, 0], [6400, 80, 1]]
+        doc = json.dumps({"ambient_dim": 3, "vertices": verts}).encode()
+        dec = json.loads(run_ok(CliConfig(command="classify"), doc))["decomposition"]
+        proj = dec["projection"]
+        assert proj["matrix"] == [[0, 0, 1], [0, 1, -80], [1, -80, 0]]
+        assert proj["shift"] == [0, 0, 0]
+        images = sorted(
+            tuple(
+                sum(a * x for a, x in zip(row, v)) + s
+                for row, s in zip(proj["matrix"], proj["shift"])
+            )
+            for v in verts
+        )
+        assert images == list(simplex(3).vertices)
 
     def test_invariants_t_range(self):
         out = json.loads(

@@ -8,6 +8,7 @@ from polyinv import (
     Polytope,
     c,
     cube,
+    decompose_join,
     eulerian,
     hypersimplex,
     lattice_points,
@@ -243,6 +244,18 @@ class TestProjectiveJoin:
         for J, k, r in join_corpus:
             if k >= max(2, (r + 1) / 2):
                 assert c(J) == 0, (k, r)
+
+    def test_vertices_are_the_lifted_fiber_vertices(self, join_corpus):
+        # the classifier predicts each vertex's place in the join of its
+        # fibers as v + e_i without building the hull; the hull agrees
+        for J, k, r in join_corpus:
+            fibers = decompose_join(J).fibers
+            lifted = sorted(
+                v + tuple(int(t == i - 1) for t in range(len(fibers) - 1))
+                for i, F in enumerate(fibers)
+                for v in F.vertices
+            )
+            assert list(projective_join(fibers).vertices) == lifted, (k, r)
 
     def test_join_below_range_not_defect(self):
         # k = 2 with square fibers gives r = 4, below the classified range

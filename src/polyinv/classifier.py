@@ -80,8 +80,6 @@ class JoinDecomposition:
             raise InternalConsistencyError("join parameter outside classified range")
         if self.defect != 2 * self.k - r:
             raise InternalConsistencyError("defect value inconsistent with k")
-        if (self.defect - r) % 2 != 0:
-            raise InternalConsistencyError("defect parity violated")
 
     def to_dict(self) -> dict:
         simplex_vertices = sorted(_standard_simplex_vertices(self.k))
@@ -117,14 +115,14 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
         return None
     r = P.dim
     full = (1 << len(P.vertices)) - 1
-    dim_of = {sum(1 << i for i in f.vertex_ids): f.dim for f in P.face_lattice()}
+    dim_of = {f.mask: f.dim for f in P.face_lattice()}
     complements = [full & ~t for t in P._incidence]
     for k in range(r, _k_min(r) - 1, -1):
         candidates = [j for j, m in enumerate(complements) if dim_of.get(m) == r - k]
         for J in itertools.combinations(candidates, k + 1):
             if not _exact_cover([complements[j] for j in J], full):
                 continue
-            dec = _try_subset(P, J, k, dim_of)
+            dec = _try_subset(P, J, k)
             if dec is not None:
                 return dec
     raise broken_identity("classification violated", P.top_face())
@@ -156,7 +154,7 @@ def _certified(P, images, proj_rows, shift) -> bool:
     return M[-k:] == [list(a) for a in proj_rows] and t[-k:] == tuple(shift)
 
 
-def _try_subset(P, J, k, dim_of) -> Optional[JoinDecomposition]:
+def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     r = P.dim
     normals = [P._nfacets[j][0] for j in J]
     if any(sum(a[i] for a in normals) != 0 for i in range(r)):
@@ -179,12 +177,8 @@ def _try_subset(P, J, k, dim_of) -> Optional[JoinDecomposition]:
     groups: dict[tuple, list[int]] = {}
     for vid, img in enumerate(images):
         groups.setdefault(img, []).append(vid)
+    # fiber i is the vertex complement of facet J[i], an (r - k)-face
     fiber_vids = [groups[img] for img in _standard_simplex_vertices(k)]
-
-    # each fiber must be a face of P of dimension r - k
-    for vids in fiber_vids:
-        if dim_of.get(sum(1 << i for i in vids)) != r - k:
-            return None
 
     # shared normalization of the (parallel) fiber spans
     base_pts = [P._nverts[i] for i in fiber_vids[0]]

@@ -24,7 +24,7 @@ from itertools import combinations, product as iproduct
 from typing import Optional, Sequence
 
 from . import linalg as la
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError, broken_identity
 from .polytope import Polytope
 
 
@@ -37,8 +37,9 @@ def _generated(family: str, verts: list, name: Optional[str]) -> Polytope:
     come out as a vertex."""
     P = Polytope.from_vertices(verts, name=name)
     if P.n_vertices != len(verts):
-        raise InternalConsistencyError(
-            f"{family} construction dropped a point expected to be a vertex"
+        raise broken_identity(
+            f"{family} construction dropped a point expected to be a vertex",
+            P.top_face(),
         )
     return P
 
@@ -203,5 +204,5 @@ def projective_join(
     ]
     out = _generated("projective join", verts, name)
     if out.dim != summands[0].dim + k:
-        raise InternalConsistencyError("projective join has wrong dimension")
+        raise broken_identity("projective join has wrong dimension", out.top_face())
     return out

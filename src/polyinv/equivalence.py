@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import linalg as la
 from . import volumes as vol
-from .errors import InternalConsistencyError
+from .errors import broken_identity
 from .polytope import Polytope
 
 Map = tuple[list[list[int]], tuple[int, ...]]
@@ -129,7 +129,9 @@ def find_unimodular_map(P: Polytope, Q: Polytope) -> Optional[Map]:
     a0 = 0  # P's model vertices are in a fixed order; anchor at the first
     frame = _frame(P, a0)
     if frame is None:
-        raise InternalConsistencyError("edge directions at a vertex do not span")
+        raise broken_identity(
+            "edge directions at a vertex do not span", P.faces(0)[a0]
+        )
     src = [P._nverts[a0]] + [P._nverts[w] for w in frame]
     degA = [len(P.edge_graph()[w]) for w in frame]
     deg0 = len(P.edge_graph()[a0])

@@ -98,7 +98,7 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
         face = face.top_face()
     if face.owner is not P:
         raise DomainError("face does not belong to this polytope")
-    if not face.facet_ids:
+    if not face.facet_mask:
         return 1
     gens = [list(P._nfacets[j][0]) for j in face.facet_ids]
     return lattice_index(gens)
@@ -138,7 +138,7 @@ def f_polynomial(P: Polytope) -> list[int]:
     for f in P.face_lattice():
         k = f.dim
         w = (-1) ** (r - k) * factorial(k + 1)
-        for j, a in enumerate(scaled[f.vertex_ids]):
+        for j, a in enumerate(scaled[f.mask]):
             total[j + r - k] += w * a
     out = []
     for i, t in enumerate(total):

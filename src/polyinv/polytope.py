@@ -22,12 +22,12 @@ The face lattice comes from the incidences in one graded pass on masks,
 top down: the facets of a face are the inclusion-maximal nonempty
 intersections of its vertex mask with the facets of P not containing it.
 A face's dimension is its level in that pass; the levels and each face's
-children are stored, so `faces(k)` reads one level.
+children are stored, so `faces(k)` reads one level. A face is identified
+by its vertex mask (`Face.mask`), which keys every per-face map and cache.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -43,24 +43,32 @@ Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
 class Face:
     """A nonempty face of a polytope.
 
-    Identified by the sorted ids of the owner's vertices it contains and
-    the sorted ids of the facets containing it. The improper face (the
-    polytope itself) has an empty facet id list. Dimension is the face's
-    level in the graded face lattice, which equals the affine dimension
-    of its vertex set.
+    Identified by its vertex mask: bit i of `mask` is set iff the owner's
+    vertex i lies on it; bit j of `facet_mask` is set iff facet j contains
+    it (none for the polytope itself). `vertex_ids` and `facet_ids` decode
+    them into sorted ids. Dimension is the face's level in the graded face
+    lattice, which equals the affine dimension of its vertex set.
     """
 
     owner: "Polytope" = field(compare=False, repr=False)
-    vertex_ids: tuple[int, ...]
-    facet_ids: tuple[int, ...] = field(compare=False)
+    mask: int
+    facet_mask: int = field(compare=False)
     dim: int = field(compare=False)
+
+    @property
+    def vertex_ids(self) -> tuple[int, ...]:
+        return _ids(self.mask)
+
+    @property
+    def facet_ids(self) -> tuple[int, ...]:
+        return _ids(self.facet_mask)
 
     @property
     def vertices(self) -> tuple[Point, ...]:
         return tuple(self.owner.vertices[i] for i in self.vertex_ids)
 
     def __repr__(self):
-        return f"Face(dim={self.dim}, vertices={len(self.vertex_ids)})"
+        return f"Face(dim={self.dim}, vertices={self.mask.bit_count()})"
 
 
 class Polytope:
@@ -219,8 +227,8 @@ class Polytope:
         return self._cache["faces"]
 
     def _build_face_lattice(self):
-        """(the faces of each dimension 0..dim sorted by vertex_ids,
-        vertex_ids -> children).
+        """(the faces of each dimension 0..dim sorted by vertex ids,
+        face mask -> children).
 
         Built top down on int bitmasks over the vertex ids, one level per
         dimension. The facets of a face F are the inclusion-maximal
@@ -228,12 +236,13 @@ class Polytope:
         contain F, and the facets of P containing such a child are those
         of F plus the t that cut it, kept as a mask of facet ids. Each
         `Face` is built once, from its masks, when the pass first meets it.
+        Levels are sorted once by vertex ids; children keep their level's order.
         """
         incidence, d, n = self._incidence, self.dim, len(self.vertices)
         top = (1 << n) - 1
-        on = {top: sum(1 << j for j, t in enumerate(incidence) if t & top == top)}
-        top_face = Face(self, _ids(top), _ids(on[top]), d)
-        if on[top]:
+        on = sum(1 << j for j, t in enumerate(incidence) if t & top == top)
+        top_face = Face(self, top, on, d)
+        if on:
             raise broken_identity("the top face lies on a facet", top_face)
         by_mask, kids_of = {top: top_face}, {}
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
@@ -241,7 +250,7 @@ class Polytope:
         for level in levels:
             below: dict[int, None] = {}
             for s in level:
-                # s & t == s exactly for the facets t in on[s]
+                # s & t == s exactly for the facets t containing s
                 cuts: dict[int, int] = {}
                 for j, t in enumerate(incidence):
                     if (cut := s & t) and cut != s:
@@ -255,9 +264,9 @@ class Polytope:
                     else:
                         kids.append(c)
                 for c in kids:
-                    if c not in on:
-                        on[c] = on[s] | cuts[c]
-                        by_mask[c] = Face(self, _ids(c), _ids(on[c]), d - len(levels))
+                    if c not in by_mask:
+                        on = by_mask[s].facet_mask | cuts[c]
+                        by_mask[c] = Face(self, c, on, d - len(levels))
                     elif c not in below:
                         raise broken_identity(
                             "face appears at two levels of the face lattice", by_mask[c]
@@ -273,13 +282,13 @@ class Polytope:
         if sum((-1) ** (d - i) * len(level) for i, level in enumerate(levels)) != 1:
             raise broken_identity("Euler relation failed", top_face)
 
-        by_ids = operator.attrgetter("vertex_ids")
+        graded = [sorted(level, key=_ids) for level in reversed(levels)]
+        place = {m: i for level in graded for i, m in enumerate(level)}
         children = {
-            by_mask[s].vertex_ids: tuple(sorted(map(by_mask.get, kids), key=by_ids))
+            s: tuple(by_mask[c] for c in sorted(kids, key=place.__getitem__))
             for s, kids in kids_of.items()
         }
-        graded = [sorted(map(by_mask.get, level), key=by_ids) for level in levels]
-        return tuple(map(tuple, reversed(graded))), children
+        return tuple(tuple(map(by_mask.get, level)) for level in graded), children
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
@@ -296,7 +305,7 @@ class Polytope:
         vertex ids."""
         if "children" not in self._cache:
             self.face_lattice()
-        return self._cache["children"][face.vertex_ids]
+        return self._cache["children"][face.mask]
 
     def edge_graph(self) -> dict[int, tuple[int, ...]]:
         """Vertex id -> sorted ids of neighbors along edges."""
@@ -389,20 +398,15 @@ class Polytope:
         Cones from the lexicographically smallest vertex over the
         triangulations of the facets of the face that avoid it.
         """
-        key = ("tri", face.vertex_ids)
+        key = ("tri", face.mask)
         if key not in self._cache:
-            if face.dim == 0:
-                simplices = (face.vertex_ids,)
-            else:
-                apex = face.vertex_ids[0]  # vertices are lex sorted
-                simplices = []
-                for child in self.face_children(face):
-                    if apex in child.vertex_ids:
-                        continue
-                    for s in self._triangulation(child):
-                        simplices.append(s + (apex,))
-                simplices = tuple(simplices)
-            self._cache[key] = simplices
+            low = face.mask & -face.mask  # vertices are lex sorted
+            apex = low.bit_length() - 1
+            simplices = [] if face.dim else [(apex,)]
+            for child in self.face_children(face):
+                if not child.mask & low:
+                    simplices += [s + (apex,) for s in self._triangulation(child)]
+            self._cache[key] = tuple(simplices)
         return self._cache[key]
 
     # -- serialization ------------------------------------------------------

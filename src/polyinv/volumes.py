@@ -56,7 +56,7 @@ def normalized_volume(face: FaceLike) -> int:
     """nvol(F) = dim(F)! * Vol(F), an exact nonnegative integer."""
     face = _as_face(face)
     P = face.owner
-    key = ("nvol", face.vertex_ids)
+    key = ("nvol", face.mask)
     if key not in P._cache:
         total = 0
         for simplex in P._triangulation(face):
@@ -86,7 +86,7 @@ def lattice_points(face: FaceLike, n: int) -> int:
         raise DomainError("dilation must be a positive integer")
     face = _as_face(face)
     P = face.owner
-    key = ("count", face.vertex_ids, n)
+    key = ("count", face.mask, n)
     if key not in P._cache:
         P._cache[key] = _count_dilate(P, face, n)
     return P._cache[key]
@@ -98,11 +98,11 @@ def ehrhart_polynomial(face: FaceLike) -> tuple[Fraction, ...]:
     face = _as_face(face)
     P = face.owner
     scale = factorial(P.dim)
-    return tuple(Fraction(a, scale) for a in scaled_ehrhart(P)[face.vertex_ids])
+    return tuple(Fraction(a, scale) for a in scaled_ehrhart(P)[face.mask])
 
 
-def scaled_ehrhart(P: Polytope) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Face vertex_ids -> dim(P)! times the Ehrhart coefficients of the face.
+def scaled_ehrhart(P: Polytope) -> dict[int, tuple[int, ...]]:
+    """Face mask -> dim(P)! times the Ehrhart coefficients of the face.
 
     k! L_F has integer coefficients for a lattice k-polytope F, so the
     scaled values are integers. Built bottom up over the face lattice:
@@ -115,26 +115,23 @@ def scaled_ehrhart(P: Polytope) -> dict[tuple[int, ...], tuple[int, ...]]:
     """
     if "ehrhart" not in P._cache:
         scale = factorial(P.dim)
-        out: dict[tuple[int, ...], tuple[int, ...]] = {}
-        index: dict[tuple[int, ...], int] = {}
-        below: list[set] = []  # per face index: the indices of its proper faces
-        interior: list[list[int]] = []  # per face index: scaled L° coefficients
-        for i, face in enumerate(P.face_lattice()):  # sorted by dimension
+        out: dict[int, tuple[int, ...]] = {}
+        below: dict[int, set] = {}  # face mask -> the masks of its proper faces
+        interior: dict[int, list[int]] = {}  # face mask -> scaled L° coefficients
+        for face in P.face_lattice():  # sorted by dimension
             k = face.dim
-            index[face.vertex_ids] = i
             sub: set = set()
             for child in P.face_children(face):
-                c = index[child.vertex_ids]
-                sub.add(c)
-                sub |= below[c]
-            below.append(sub)
+                sub.add(child.mask)
+                sub |= below[child.mask]
+            below[face.mask] = sub
             boundary = [0] * k
             for g in sub:
                 for j, a in enumerate(interior[g]):
                     boundary[j] += a
             coeffs = _face_ehrhart(face, boundary, scale)
-            out[face.vertex_ids] = coeffs
-            interior.append([(-1) ** (k + j) * a for j, a in enumerate(coeffs)])
+            out[face.mask] = coeffs
+            interior[face.mask] = [(-1) ** (k + j) * a for j, a in enumerate(coeffs)]
         P._cache["ehrhart"] = out
     return P._cache["ehrhart"]
 

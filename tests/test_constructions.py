@@ -265,8 +265,9 @@ class TestProjectiveJoin:
 
 class TestGeneratedVertexCheck:
     def test_dropped_point_is_an_internal_error(self):
-        with pytest.raises(InternalConsistencyError, match="demo construction"):
+        with pytest.raises(InternalConsistencyError, match="demo construction") as err:
             _generated("demo", [(0,), (1,), (2,)], None)
+        assert "(polytope unnamed, face (0, 1))" in str(err.value)
         assert _generated("demo", [(0,), (2,)], None).n_vertices == 2
 
 

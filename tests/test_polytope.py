@@ -141,8 +141,15 @@ class TestFaceLattice:
 
 def assert_graded_lattice(P):
     """Each face's level is the affine dimension of its vertices, and its
-    children are the faces one level down whose vertices it contains."""
+    children are the faces one level down whose vertices it contains.
+    Each level is strictly increasing in vertex ids, and the lattice lists
+    the levels from dimension 0 up."""
     faces = P.face_lattice()
+    levels = [P.faces(k) for k in range(P.dim + 1)]
+    assert faces == sum(levels, ()), P.name
+    for level in levels:
+        ids = [f.vertex_ids for f in level]
+        assert all(a < b for a, b in zip(ids, ids[1:])), (P.name, ids)
     for f in faces:
         assert f.dim == oracles.affine_dim(f.vertices), (P.name, f.vertex_ids)
         expected = tuple(

@@ -80,7 +80,7 @@ class TestNormalizedVolume:
     def test_degenerate_triangulation_simplex_raises(self):
         P = cube(3, 1)
         # vertices 0..3 span the facet x_1 = 0, not a 3-simplex
-        P._cache[("tri", P.top_face().vertex_ids)] = ((0, 1, 2, 3),)
+        P._cache[("tri", P.top_face().mask)] = ((0, 1, 2, 3),)
         with pytest.raises(InternalConsistencyError, match="degenerate simplex"):
             normalized_volume(P)
 
@@ -266,7 +266,7 @@ class TestStructuralEhrhartChecks:
         P = cube(2, 1)
         edge = P.faces(1)[0]
         children = P._cache["children"]
-        children[edge.vertex_ids] = children[edge.vertex_ids][:1]
+        children[edge.mask] = children[edge.mask][:1]
         with pytest.raises(InternalConsistencyError, match="constant term is not 1"):
             ehrhart_polynomial(P)
 
@@ -274,7 +274,7 @@ class TestStructuralEhrhartChecks:
         P = cube(2, 1)
         top = P.top_face()
         children = P._cache["children"]
-        children[top.vertex_ids] += (P.faces(0)[0],)  # a vertex posing as a facet
+        children[top.mask] += (P.faces(0)[0],)  # a vertex posing as a facet
         with pytest.raises(InternalConsistencyError, match="half the facet volumes"):
             ehrhart_polynomial(P)
 
@@ -282,7 +282,7 @@ class TestStructuralEhrhartChecks:
         P = cube(2, 1)
         top = P.top_face()
         children = P._cache["children"]
-        children[top.vertex_ids] = children[top.vertex_ids][1:]
+        children[top.mask] = children[top.mask][1:]
         with pytest.raises(InternalConsistencyError, match="reciprocity") as err:
             ehrhart_polynomial(P)
         assert f"face {top.vertex_ids}" in str(err.value)

@@ -31,6 +31,7 @@ independent check of that expansion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -116,13 +117,10 @@ def c_star(P: Polytope) -> Fraction:
     if not P.is_simple():
         raise NotSimpleError("c_star defined only for simple polytopes")
     r = P.dim
-    total = Fraction(0)
+    sums: Counter[int] = Counter()  # integer face terms, summed by multiplicity
     for f in P.face_lattice():
-        sign = -1 if (r - f.dim) % 2 else 1
-        term = Fraction(
-            sign * (f.dim + 1) * vol.normalized_volume(f), mult(P, f)
-        )
-        total += term
+        sums[mult(P, f)] += (-1) ** (r - f.dim) * (f.dim + 1) * vol.normalized_volume(f)
+    total = sum((Fraction(s, m) for m, s in sums.items()), Fraction(0))
     if P.is_delzant() and total != c(P):
         raise broken_identity("c_star differs from c on a Delzant input", P.top_face())
     return total

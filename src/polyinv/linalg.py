@@ -100,6 +100,29 @@ def det(M: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(M: Sequence[Sequence[int]]) -> Matrix:
+    """adj(M) = det(M) M^-1 of a nonsingular square integer matrix by one
+    fraction-free Gauss-Jordan pass (Bareiss) over [M | I], ending at
+    [det(M) I | adj(M)]: entries are minors, and a swap negates one row."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise DomainError("adjugate of a non-square matrix")
+    a = [list(row) + e for row, e in zip(M, identity(n))]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise DomainError("adjugate of a singular matrix")
+        if piv != k:
+            a[k], a[piv] = a[piv], [-x for x in a[k]]
+        p = a[k]
+        for i, row in enumerate(a):
+            if i != k:
+                a[i] = [(x * p[k] - row[k] * y) // prev for x, y in zip(row, p)]
+        prev = p[k]
+    return [row[n:] for row in a]
+
+
 def rank(M: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix (fraction-free elimination)."""
     a = copy_matrix(M)
@@ -329,11 +352,11 @@ def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
         Wh, _ = hermite_normal_form(_left_kernel(transpose(equations)))
         W = [row for row in Wh if any(row)]
     if len(W) != d:
-        raise InternalConsistencyError("saturation basis lost rank")
+        raise _broken_span("saturation basis lost rank", pts)
 
     H, U = hermite_normal_form(transpose(W))
     if H != [row[:d] for row in identity(n)]:
-        raise InternalConsistencyError("span lattice basis is not saturated")
+        raise _broken_span("span lattice basis is not saturated", pts)
 
     norm = AffineNormalization(
         matrix=tuple(tuple(r) for r in U[:d]),
@@ -343,8 +366,13 @@ def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
     )
     for p in pts:
         if norm.backward(norm.forward(p)) != p:
-            raise InternalConsistencyError("affine normalization failed to invert")
+            raise _broken_span("affine normalization failed to invert", pts)
     return norm
+
+
+def _broken_span(identity: str, points: list[Vector]) -> InternalConsistencyError:
+    """A failed identity of `affine_normalize`, naming the input points."""
+    return InternalConsistencyError(f"{identity} (points {tuple(points)})")
 
 
 def bounding_box(points: Iterable[Sequence[int]]) -> tuple[Vector, Vector]:

@@ -12,18 +12,20 @@ like full dimensional ones. Reported vertices keep the caller's ambient
 coordinates.
 
 Facets come from an exact integer double description hull on the
-normalized model (`_hull_facet_normals`), whose rays are the facet
-inequalities. Every candidate normal is still validated by sidedness and
-the rank of its tight set before it becomes a facet. Tight sets and
-facet incidences are int bitmasks over point ids; a point is a vertex
-only if the facets through it meet in that point alone.
+normalized model (`_hull_facet_normals`, its start cone read off one
+`linalg.adjugate`), whose rays are the facet inequalities. Every
+candidate normal is still validated by sidedness and the rank of its
+tight set before it becomes a facet. Tight sets and facet incidences are
+int bitmasks over point ids; a point is a vertex only if the facets
+through it meet in that point alone.
 
 The face lattice comes from the incidences in one graded pass on masks,
 top down: the facets of a face are the inclusion-maximal nonempty
 intersections of its vertex mask with the facets of P not containing it.
-A face's dimension is its level in that pass; the levels and each face's
-children are stored, so `faces(k)` reads one level. A face is identified
-by its vertex mask (`Face.mask`), which keys every per-face map and cache.
+A face's dimension is its level in that pass. Each level is sorted once
+and stored, so `faces(k)` reads one level, and each face's children are
+filled in level order from the parents that the pass records. A face is
+its vertex mask (`Face.mask`), which keys every per-face map and cache.
 """
 
 from __future__ import annotations
@@ -110,13 +112,10 @@ class Polytope:
             for a in _hull_facet_normals(model, d):
                 vals = [la.dot(a, y) for y in model]
                 b = min(vals)
-                mask = sum(1 << i for i, v in enumerate(vals) if v == b)
-                tight = _ids(mask)
-                if len(tight) < d:
-                    continue
+                tight = [i for i, v in enumerate(vals) if v == b]
                 diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
                 if la.rank(diffs) == d - 1:
-                    facets[(a, b)] = mask
+                    facets[(a, b)] = sum(1 << i for i in tight)
 
         # extreme points: the facets through a point meet in that point alone
         keep = []
@@ -234,9 +233,8 @@ class Polytope:
         dimension. The facets of a face F are the inclusion-maximal
         nonempty cuts F & t over the facet incidences t that do not
         contain F, and the facets of P containing such a child are those
-        of F plus the t that cut it, kept as a mask of facet ids. Each
-        `Face` is built once, from its masks, when the pass first meets it.
-        Levels are sorted once by vertex ids; children keep their level's order.
+        of F plus the t that cut it, kept as a mask of facet ids. Faces
+        record their parents; the sorted levels fill children in level order.
         """
         incidence, d, n = self._incidence, self.dim, len(self.vertices)
         top = (1 << n) - 1
@@ -244,11 +242,11 @@ class Polytope:
         top_face = Face(self, top, on, d)
         if on:
             raise broken_identity("the top face lies on a facet", top_face)
-        by_mask, kids_of = {top: top_face}, {}
+        by_mask, parents = {top: top_face}, {top: []}
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
         levels = [[top]]
         for level in levels:
-            below: dict[int, None] = {}
+            below, dim = [], d - len(levels)
             for s in level:
                 # s & t == s exactly for the facets t containing s
                 cuts: dict[int, int] = {}
@@ -256,7 +254,7 @@ class Polytope:
                     if (cut := s & t) and cut != s:
                         cuts[cut] = cuts.get(cut, 0) | 1 << j
                 # larger cuts first: a cut is maximal unless a kid contains it
-                kids_of[s] = kids = []
+                kids: list[int] = []
                 for c in sorted(cuts, key=int.bit_count, reverse=True):
                     for k in kids:
                         if c & k == c:
@@ -266,14 +264,15 @@ class Polytope:
                 for c in kids:
                     if c not in by_mask:
                         on = by_mask[s].facet_mask | cuts[c]
-                        by_mask[c] = Face(self, c, on, d - len(levels))
-                    elif c not in below:
+                        by_mask[c], parents[c] = Face(self, c, on, dim), []
+                        below.append(c)
+                    elif by_mask[c].dim != dim:
                         raise broken_identity(
                             "face appears at two levels of the face lattice", by_mask[c]
                         )
-                    below[c] = None
+                    parents[c].append(s)
             if below:
-                levels.append(list(below))
+                levels.append(below)
 
         # guardrails: these hold for every polytope and catch a wrong or
         # incomplete facet description at first use
@@ -282,13 +281,18 @@ class Polytope:
         if sum((-1) ** (d - i) * len(level) for i, level in enumerate(levels)) != 1:
             raise broken_identity("Euler relation failed", top_face)
 
-        graded = [sorted(level, key=_ids) for level in reversed(levels)]
-        place = {m: i for level in graded for i, m in enumerate(level)}
-        children = {
-            s: tuple(by_mask[c] for c in sorted(kids, key=place.__getitem__))
-            for s, kids in kids_of.items()
-        }
-        return tuple(tuple(map(by_mask.get, level)) for level in graded), children
+        # faces of one level are never nested, so their order by vertex ids
+        # is the descending order of their mask bits read from vertex 0 up
+        graded = [
+            sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True) for level in levels
+        ]
+        children: dict[int, list[Face]] = {m: [] for m in by_mask}
+        for level in reversed(graded):
+            for c in level:
+                for s in parents[c]:
+                    children[s].append(by_mask[c])
+        levels = tuple(tuple(map(by_mask.get, level)) for level in reversed(graded))
+        return levels, {m: tuple(kids) for m, kids in children.items()}
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
@@ -489,21 +493,14 @@ def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
 
     A point v is homogenized as the row (v, -1), so the facets are the
     extreme rays (a, b) of the cone {(a, b) : <a, v> - b >= 0 for every
-    point}. The cone of d + 1 affinely independent rows is simplicial.
+    point}; it starts from the simplicial cone of `_start_cone`.
     Each further row keeps the rays on its nonnegative side and joins
     every adjacent pair that it separates. Adjacency is the combinatorial
     test on zero sets, kept as bitmasks over the model point ids.
     """
     rows = [v + (-1,) for v in model]
-    start = _affine_basis(model, d)
-    rays: list[Point] = []
-    zeros: list[int] = []
-    for j in start:
-        (r,) = la.kernel_basis([rows[i] for i in start if i != j])
-        if la.dot(r, rows[j]) < 0:
-            r = tuple(-x for x in r)
-        rays.append(r)
-        zeros.append(sum(1 << i for i in start if i != j))
+    start, rays = _start_cone(model, d)
+    zeros = [sum(1 << i for i in start if i != j) for j in start]
 
     for i, row in enumerate(rows):
         if i in start:
@@ -535,15 +532,21 @@ def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
     return [la.primitive(r[:-1]) for r in rays]
 
 
-def _affine_basis(model: list[Point], d: int) -> list[int]:
-    """Ids of the first d + 1 affinely independent points, greedily."""
-    basis = [0]
-    diffs: list[Point] = []
+def _start_cone(model: list[Point], d: int) -> tuple[list[int], list[Point]]:
+    """The first d + 1 affinely independent point ids, greedily, and the
+    rays of the cone {x : M x >= 0} on their rows (v, -1): the columns of
+    adj(M), primitive and signed by the one row of M they miss."""
+    start, diffs = [0], []
     for i in range(1, len(model)):
         diff = la.vec_sub(model[i], model[0])
         if la.rank(diffs + [diff]) > len(diffs):
             diffs.append(diff)
-            basis.append(i)
-            if len(basis) == d + 1:
+            start.append(i)
+            if len(start) > d:
                 break
-    return basis
+    M = [model[i] + (-1,) for i in start]
+    rays = []
+    for row, col in zip(M, zip(*la.adjugate(M))):
+        r = la.primitive(col)
+        rays.append(r if la.dot(r, row) > 0 else tuple(-x for x in r))
+    return start, rays

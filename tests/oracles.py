@@ -9,8 +9,9 @@ frozensets, facets by hyperplanes through every affinely independent
 point subset, half-open parallelotope point counts, and bounding-box
 lattice counts with convex-hull membership tests. The last section
 keeps retired library routines (the Smith normal form, the Smith route
-to `affine_normalize` and the per-face normalized box scan) as
-differential oracles; those build on the library's Hermite form.
+to `affine_normalize`, the per-face normalized box scan, the hull's
+start cone from one kernel per start row and the per-face `Fraction`
+sum of `c_star`) as differential oracles; those build on the library.
 Slow on purpose; used only at desk scale.
 """
 
@@ -20,7 +21,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from polyinv import linalg as la
+from polyinv import linalg as la, mult, normalized_volume
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +440,10 @@ def oracle_normalized_volume(vertices):
 #
 # Unlike the rest of this module these build on the library's Hermite
 # form, its `AffineNormalization` and a polytope's normalized model: they
-# are the code that the Hermite-only `affine_normalize` and the interval
-# scan in P's own model replaced, kept to check that the replacements give
-# the same bases and the same counts.
+# are the code that the Hermite-only `affine_normalize`, the interval
+# scan in P's own model, the adjugate start cone and the per-multiplicity
+# `c_star` sums replaced, kept to check that the replacements give the
+# same bases, counts, rays and values.
 
 
 def _xgcd(a, b):
@@ -656,3 +658,45 @@ def face_model_scan_count(P, face, n):
             else:
                 stack.append((j + 1, nxt))
     return count
+
+
+def affine_basis(model, d):
+    """Ids of the first d + 1 affinely independent points, greedily."""
+    basis = [0]
+    diffs = []
+    for i in range(1, len(model)):
+        diff = la.vec_sub(model[i], model[0])
+        if la.rank(diffs + [diff]) > len(diffs):
+            diffs.append(diff)
+            basis.append(i)
+            if len(basis) == d + 1:
+                break
+    return basis
+
+
+def kernel_start_cone(model, d):
+    """The hull's start cone by one kernel per start row: the ids that
+    `affine_basis` picks and, for each start row (v, -1), the primitive
+    kernel vector of the other start rows, signed to be positive on it."""
+    start = affine_basis(model, d)
+    rows = [tuple(model[i]) + (-1,) for i in start]
+    rays = []
+    for j, row in enumerate(rows):
+        (r,) = la.kernel_basis([rows[i] for i in range(len(rows)) if i != j])
+        rays.append(r if la.dot(r, row) > 0 else tuple(-x for x in r))
+    return start, rays
+
+
+def fraction_c_star(P):
+    """c_star(P) as one `Fraction` per face: the sum of
+    (-1)^(dim P - dim F) (dim F + 1) nvol(F) / mult(P, F)."""
+    return sum(
+        (
+            Fraction(
+                (-1) ** (P.dim - f.dim) * (f.dim + 1) * normalized_volume(f),
+                mult(P, f),
+            )
+            for f in P.face_lattice()
+        ),
+        Fraction(0),
+    )

@@ -184,6 +184,15 @@ class TestCStar:
         with pytest.raises(NotSimpleError):
             c_star(hypersimplex(2, 4))
 
+    def test_matches_per_face_fraction_sum(self, small_corpus, join_corpus):
+        half = Polytope.from_vertices(TRIANGLE_HALF)
+        polys = small_corpus + [J for J, _k, _r in join_corpus] + [half]
+        simple = [P for P in polys if P.is_simple()]
+        assert len(simple) > len(polys) // 3
+        for P in simple:
+            assert c_star(P) == oracles.fraction_c_star(P), P.name
+        assert oracles.fraction_c_star(half) == Fraction(1, 2)
+
 
 class TestFPolynomial:
     @pytest.mark.parametrize("r", range(1, 5))

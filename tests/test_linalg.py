@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinv import linalg as la
-from polyinv.errors import DomainError
+from polyinv.errors import DomainError, InternalConsistencyError
 
 import oracles
 
@@ -52,6 +52,47 @@ def is_row_hnf(H):
             if not 0 <= H[above][p] < H[i][p]:
                 return False
     return True
+
+
+def square_matrix(max_dim=5):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(
+            st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+class TestAdjugate:
+    """adj(M) M = M adj(M) = det(M) I, row swaps included."""
+
+    def test_small_example(self):
+        assert la.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+
+    def test_zero_leading_pivot(self):
+        # det -2; the first column's pivot sits in the second row
+        M = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
+        assert la.adjugate(M) == [[0, -2, 0], [-2, 0, 0], [0, 0, -1]]
+
+    def test_rejects_singular_and_non_square(self):
+        with pytest.raises(DomainError, match="singular"):
+            la.adjugate([[1, 2], [2, 4]])
+        with pytest.raises(DomainError, match="non-square"):
+            la.adjugate([[1, 2]])
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(square_matrix(), st.booleans())
+    def test_identity_holds(self, M, zero_pivot):
+        if zero_pivot:
+            M[0][0] = 0  # a nonsingular M then needs a row swap
+        D = la.det(M)
+        if D == 0:
+            with pytest.raises(DomainError, match="singular"):
+                la.adjugate(M)
+            return
+        A = la.adjugate(M)
+        DI = [[D * x for x in row] for row in la.identity(len(M))]
+        assert la.mat_mul(A, M) == DI
+        assert la.mat_mul(M, A) == DI
 
 
 class TestHermite:
@@ -236,6 +277,47 @@ class TestAffineNormalize:
         for p in pts:
             assert norm.backward(norm.forward(p)) == p
         assert norm.dim == oracles.affine_dim(pts)
+
+
+class TestNamedNormalizationErrors:
+    """Each identity check of `affine_normalize` keeps its text and names
+    the input points."""
+
+    POINTS = [(0, 0), (2, 2)]
+    NAMED = " (points ((0, 0), (2, 2)))"
+
+    @staticmethod
+    def corrupt_call(monkeypatch, name, k, corrupt):
+        """Make the k-th call (from 1) of `la.<name>` return corrupt(result)."""
+        real, calls = getattr(la, name), []
+
+        def wrapped(*args):
+            calls.append(args)
+            out = real(*args)
+            return corrupt(out) if len(calls) == k else out
+
+        monkeypatch.setattr(la, name, wrapped)
+
+    def test_saturation_basis_lost_rank(self, monkeypatch):
+        # the second left kernel is the direction lattice of the span
+        self.corrupt_call(monkeypatch, "_left_kernel", 2, lambda rows: rows[:-1])
+        with pytest.raises(InternalConsistencyError) as err:
+            la.affine_normalize(self.POINTS)
+        assert str(err.value) == "saturation basis lost rank" + self.NAMED
+
+    def test_span_lattice_basis_not_saturated(self, monkeypatch):
+        # the fourth Hermite form is that of W^T, after two left kernels and W's
+        double = lambda HU: ([[2 * x for x in row] for row in HU[0]], HU[1])
+        self.corrupt_call(monkeypatch, "hermite_normal_form", 4, double)
+        with pytest.raises(InternalConsistencyError) as err:
+            la.affine_normalize(self.POINTS)
+        assert str(err.value) == "span lattice basis is not saturated" + self.NAMED
+
+    def test_failed_to_invert(self, monkeypatch):
+        monkeypatch.setattr(la.AffineNormalization, "backward", lambda self, y: ())
+        with pytest.raises(InternalConsistencyError) as err:
+            la.affine_normalize(self.POINTS)
+        assert str(err.value) == "affine normalization failed to invert" + self.NAMED
 
 
 @st.composite

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyinv import Polytope, cube, hypersimplex, simplex
+from polyinv import linalg as la
 from polyinv.errors import DomainError, InternalConsistencyError
+from polyinv.polytope import _clean_points, _start_cone
 
 import oracles
 from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS, hull_inputs
@@ -197,21 +199,29 @@ class TestHullOracle:
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(hull_inputs())
     def test_matches_subset_enumeration(self, pts):
-        P = Polytope.from_vertices(pts)
-        expected = oracles.subset_hull_facets(pts)
-        assert list(P.vertices) == oracles.hull_vertices(pts, expected)
-        got = set()
-        for (a, b), ids in zip(P.facets, P._incidence):
-            vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
-            assert min(vals) == b
-            tight = frozenset(p for p, v in zip(pts, vals) if v == b)
-            assert tight in expected
-            if P.dim == P.ambient_dim:
-                assert (a, b) == expected[tight]
-            on_facet = {v for i, v in enumerate(P.vertices) if ids >> i & 1}
-            assert on_facet == tight & set(P.vertices)
-            got.add(tight)
-        assert got == set(expected)
+        assert_hull_matches_subset_enumeration(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # the first three points are collinear
+            [(0, 0, 0), (1, 1, 0), (2, 2, 0), (-1, -1, 0), (0, 3, 0), (0, 0, 2), (3, 0, 1)],
+            # the first four points span a parallelogram: a repeated direction
+            [(0, 0, 0), (1, 2, 0), (2, 1, 0), (3, 3, 0), (1, 1, 3), (2, 2, -1)],
+            # a repeated point and a point between the first two
+            [(0, 0), (4, 2), (0, 0), (2, 1), (6, 3), (1, 5)],
+            # dimension 4, the first five points on one facet of the cube
+            [p + (0,) for p in itertools.product((0, 1), repeat=3)]
+            + [(0, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 1)],
+        ],
+        ids=["collinear", "parallelogram", "repeat", "cube-facet"],
+    )
+    def test_affinely_dependent_leading_points(self, pts):
+        norm = la.affine_normalize(_clean_points(pts))
+        model = [norm.forward(p) for p in _clean_points(pts)]
+        assert oracles.affine_basis(model, norm.dim) != list(range(norm.dim + 1))
+        assert_start_cone_matches_kernels(pts)
+        assert_hull_matches_subset_enumeration(pts)
 
     @pytest.mark.parametrize(
         "points,family",
@@ -236,6 +246,51 @@ class TestHullOracle:
         assert P.n_vertices == len(points)
         assert P.facets == Q.facets
         assert P.f_vector == Q.f_vector
+
+
+def assert_hull_matches_subset_enumeration(pts):
+    """The facets, their incidences and the vertices of `from_vertices`
+    equal those of `oracles.subset_hull_facets`."""
+    P = Polytope.from_vertices(pts)
+    expected = oracles.subset_hull_facets(pts)
+    assert list(P.vertices) == oracles.hull_vertices(pts, expected)
+    got = set()
+    for (a, b), ids in zip(P.facets, P._incidence):
+        vals = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        assert min(vals) == b
+        tight = frozenset(p for p, v in zip(pts, vals) if v == b)
+        assert tight in expected
+        if P.dim == P.ambient_dim:
+            assert (a, b) == expected[tight]
+        on_facet = {v for i, v in enumerate(P.vertices) if ids >> i & 1}
+        assert on_facet == tight & set(P.vertices)
+        got.add(tight)
+    assert got == set(expected)
+
+
+def assert_start_cone_matches_kernels(points):
+    """The hull's start cone on the normalized model of `points` equals the
+    one kernel per start row route: the same start rows and rays."""
+    pts = _clean_points(points)
+    norm = la.affine_normalize(pts)
+    model = [norm.forward(p) for p in pts]
+    if norm.dim:
+        assert _start_cone(model, norm.dim) == oracles.kernel_start_cone(
+            model, norm.dim
+        ), points
+
+
+class TestStartCone:
+    """The adjugate start cone against the kernel route it replaced."""
+
+    def test_corpora(self, small_corpus, join_corpus):
+        for P in small_corpus + [J for J, _k, _r in join_corpus]:
+            assert_start_cone_matches_kernels(P.vertices)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_hull_inputs(self, pts):
+        assert_start_cone_matches_kernels(pts)
 
 
 def assert_lattice_matches_oracles(P):

@@ -180,10 +180,10 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     # fiber i is the vertex complement of facet J[i], an (r - k)-face
     fiber_vids = [groups[img] for img in _standard_simplex_vertices(k)]
 
-    # shared normalization of the (parallel) fiber spans
-    base_pts = [P._nverts[i] for i in fiber_vids[0]]
-    norm0 = la.affine_normalize(base_pts)
-    basis0 = [list(w) for w in norm0.basis]
+    # shared normalization of the fiber spans: every fiber's differences
+    # lie in the kernel of the k projection rows (rank k, checked above),
+    # which fiber 0, an (r - k)-face there, spans
+    norm0 = la.affine_normalize([P._nverts[i] for i in fiber_vids[0]])
     fibers = []
     # where each vertex lands in the join of the fibers: its fiber
     # coordinates, then the simplex vertex e_i of its fiber, as
@@ -192,10 +192,6 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     for vids, e_i in zip(fiber_vids, _standard_simplex_vertices(k)):
         pts = [P._nverts[i] for i in vids]
         b = min(pts)
-        for p in pts:
-            diff = list(la.vec_sub(p, b))
-            if any(diff) and la.rank(basis0 + [diff]) != r - k:
-                return None
         coords = [
             tuple(la.dot(row, la.vec_sub(p, b)) for row in norm0.matrix)
             for p in pts

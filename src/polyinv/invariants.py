@@ -45,7 +45,6 @@ from .errors import (
     broken_identity,
 )
 from .polytope import Face, Polytope
-from .linalg import lattice_index
 
 
 def _rising(d: int, t: int) -> int:
@@ -80,7 +79,7 @@ def _volume_sums(P: Polytope) -> list[int]:
     per polytope."""
     if "nvol_sums" not in P._cache:
         sums = [0] * (P.dim + 1)
-        for f in P.face_lattice():
+        for f in reversed(P.face_lattice()):  # P first: its recursion cuts most bases
             sums[f.dim] += vol.normalized_volume(f)
         P._cache["nvol_sums"] = sums
     return P._cache["nvol_sums"]
@@ -92,6 +91,9 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
     The number of lattice points in the half-open parallelotope spanned
     by the primitive inward normals of the facets containing the face;
     1 for the polytope itself, and 1 for every face iff P is Delzant.
+    Read from one top-down pass over the face lattice: a facet G of a
+    face F adds one facet normal a_t, and mult(G) = mult(F) * g, where g
+    is the content of a_t on the direction lattice of F.
     """
     if not P.is_simple():
         raise NotSimpleError("multiplicity defined only for simple polytopes")
@@ -99,10 +101,15 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
         face = face.top_face()
     if face.owner is not P:
         raise DomainError("face does not belong to this polytope")
-    if not face.facet_mask:
-        return 1
-    gens = [list(P._nfacets[j][0]) for j in face.facet_ids]
-    return lattice_index(gens)
+    if "mult" not in P._cache:
+        out = {}
+        for f in reversed(P.face_lattice()):  # each face after its parents
+            m = out.setdefault(f.mask, 1)  # only P itself is unset here
+            for child in P.face_children(f):
+                if child.mask not in out:
+                    out[child.mask] = m * P._content(f, child)[0]
+        P._cache["mult"] = out
+    return P._cache["mult"][face.mask]
 
 
 def c_star(P: Polytope) -> Fraction:

@@ -291,6 +291,30 @@ def lattice_index(gens: Sequence[Sequence[int]]) -> int:
     return abs(index)
 
 
+def cut_basis(basis: Sequence[Sequence[int]], j: int) -> tuple[int, list]:
+    """(g, rest) for a basis of a lattice L in Z^m and a coordinate j:
+    g >= 0 is the content of x_j on L, the gcd of the j-th entries of the
+    basis, and `rest` is a basis of L cap {x_j = 0}. Extended gcd steps
+    on the basis vectors (unimodular column operations) send those
+    entries to (g, 0, ..., 0); `rest` is every vector but the first.
+    g = 0 when x_j vanishes on L."""
+    if not basis:
+        return 0, []
+    first, rest = basis[0], []
+    for c in basis[1:]:
+        if c[j]:
+            g, x, z = _xgcd(first[j], c[j])
+            p, q = first[j] // g, c[j] // g
+            first, c = (
+                tuple([x * u + z * w for u, w in zip(first, c)]),
+                tuple([p * w - q * u for u, w in zip(first, c)]),
+            )
+        rest.append(c)
+    if not first[j]:
+        return 0, list(basis)
+    return abs(first[j]), rest
+
+
 # ---------------------------------------------------------------------------
 # affine lattice normalization
 

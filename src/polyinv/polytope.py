@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -78,7 +79,7 @@ class Polytope:
 
     Immutable after construction. Use `Polytope.from_vertices` to build
     one; duplicate and non-extreme input points are dropped. Derived
-    data (face lattice, triangulations, volumes, counts) is cached
+    data (face lattice, direction lattice bases, volumes, counts) is cached
     lazily with idempotent values, so concurrent reads are safe.
     """
 
@@ -221,13 +222,15 @@ class Polytope:
     def face_lattice(self) -> tuple[Face, ...]:
         """All nonempty faces, graded by dimension, including P itself."""
         if "faces" not in self._cache:
-            self._cache["levels"], self._cache["children"] = self._build_face_lattice()
-            self._cache["faces"] = sum(self._cache["levels"], ())
+            levels, self._cache["children"], parent = self._build_face_lattice()
+            self._cache["levels"], self._cache["parent"] = levels, parent
+            self._cache["faces"] = sum(levels, ())
+            self._cache["bases"] = {}
         return self._cache["faces"]
 
     def _build_face_lattice(self):
         """(the faces of each dimension 0..dim sorted by vertex ids,
-        face mask -> children).
+        face mask -> children, face mask -> first parent).
 
         Built top down on int bitmasks over the vertex ids, one level per
         dimension. The facets of a face F are the inclusion-maximal
@@ -242,7 +245,7 @@ class Polytope:
         top_face = Face(self, top, on, d)
         if on:
             raise broken_identity("the top face lies on a facet", top_face)
-        by_mask, parents = {top: top_face}, {top: []}
+        by_mask, parents, first = {top: top_face}, {top: []}, {}
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
         levels = [[top]]
         for level in levels:
@@ -263,7 +266,8 @@ class Polytope:
                         kids.append(c)
                 for c in kids:
                     if c not in by_mask:
-                        on = by_mask[s].facet_mask | cuts[c]
+                        first[c] = up = by_mask[s]
+                        on = up.facet_mask | cuts[c]
                         by_mask[c], parents[c] = Face(self, c, on, dim), []
                         below.append(c)
                     elif by_mask[c].dim != dim:
@@ -292,7 +296,7 @@ class Polytope:
                 for s in parents[c]:
                     children[s].append(by_mask[c])
         levels = tuple(tuple(map(by_mask.get, level)) for level in reversed(graded))
-        return levels, {m: tuple(kids) for m, kids in children.items()}
+        return levels, {m: tuple(kids) for m, kids in children.items()}, first
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
@@ -394,24 +398,36 @@ class Polytope:
                 return False
         return True
 
-    # -- triangulation (used by volumes) ------------------------------------
+    # -- direction lattices (used by volumes and multiplicities) ----------
 
-    def _triangulation(self, face: Face) -> tuple[tuple[int, ...], ...]:
-        """Pulling triangulation of a face, as tuples of vertex ids.
+    def _content(self, face: Face, child: Face) -> tuple[int, int]:
+        """(g, t) for a facet `child` of `face`: t is the lowest facet of P
+        through the child and not the face, and g >= 1 the content of its
+        normal a_t on the face's direction lattice lin(F) cap Z^dim.
 
-        Cones from the lexicographically smallest vertex over the
-        triangulations of the facets of the face that avoid it.
+        Each face keeps one basis of its lattice. A basis vector c is
+        stored as its values A c on the facet normals, so a_t . c is its
+        entry t, and `linalg.cut_basis` at t gives g and a basis of the
+        child's lattice, kept if the child has none yet. P's basis is
+        I_dim (the columns of A); a face that no cut has reached yet is
+        cut from its first parent.
         """
-        key = ("tri", face.mask)
-        if key not in self._cache:
-            low = face.mask & -face.mask  # vertices are lex sorted
-            apex = low.bit_length() - 1
-            simplices = [] if face.dim else [(apex,)]
-            for child in self.face_children(face):
-                if not child.mask & low:
-                    simplices += [s + (apex,) for s in self._triangulation(child)]
-            self._cache[key] = tuple(simplices)
-        return self._cache[key]
+        bases = self._cache["bases"]
+        if face.mask not in bases:
+            if face.facet_mask:
+                self._content(self._cache["parent"][face.mask], face)
+            else:
+                bases[face.mask] = list(zip(*(a for a, _ in self._nfacets)))
+        new = child.facet_mask & ~face.facet_mask
+        t = (new & -new).bit_length() - 1
+        basis = bases[face.mask]
+        if child.mask in bases:
+            g = gcd(*[c[t] for c in basis])
+        else:
+            g, bases[child.mask] = la.cut_basis(basis, t)
+        if g < 1:
+            raise broken_identity(f"facet {t} is constant on the face", face)
+        return g, t
 
     # -- serialization ------------------------------------------------------
 

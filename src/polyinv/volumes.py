@@ -5,11 +5,16 @@ Lebesgue measure of the face after normalizing its span lattice to Z^k;
 it is always a nonnegative integer and is the internal currency of every
 invariant in this package. A vertex has nvol 1.
 
-Volumes are computed by an exact pulling triangulation (cone from the
-lexicographically smallest vertex over the facets avoiding it,
-recursively). Each simplex contributes the `lattice_index` of its edge
-rows in the polytope's model Z^dim, which is its normalized volume in
-the lattice of its own span; no face needs a coordinate change.
+Volumes are computed by lattice pyramids over the face lattice (Beck &
+Robins, "Computing the Continuous Discretely", ch. 3): with v the
+lexicographically smallest vertex of F, nvol(F) is the sum of
+h_G * nvol(G) over the facets G of F avoiding v, where h_G is the
+lattice height of v over aff(G) in the lattice of aff(F). If the facet
+t of P cuts G from F and its normal a_t has content g on F's direction
+lattice, then h_G = (<a_t, v> - b_t) / g. Each face keeps one basis of
+its direction lattice in P's model (`Polytope._content`), so no face
+needs a coordinate change and no simplex is enumerated; the recursion is
+memoized and visits only the faces that the asked volume needs.
 
 Ehrhart polynomials of all faces come from structure (`scaled_ehrhart`),
 bottom up over the face lattice: Ehrhart-Macdonald reciprocity fixes
@@ -55,19 +60,32 @@ def _as_face(obj: FaceLike) -> Face:
 def normalized_volume(face: FaceLike) -> int:
     """nvol(F) = dim(F)! * Vol(F), an exact nonnegative integer."""
     face = _as_face(face)
-    P = face.owner
+    return _nvol(face.owner, face)
+
+
+def _nvol(P: Polytope, face: Face) -> int:
+    """nvol(F), memoized: the pyramids from F's first vertex v over the
+    facets G of F that avoid v add h_G * nvol(G), where h_G is the lattice
+    height of v over G in lin(F) cap Z^dim."""
     key = ("nvol", face.mask)
     if key not in P._cache:
-        total = 0
-        for simplex in P._triangulation(face):
-            base = P._nverts[simplex[0]]
-            rows = [la.vec_sub(P._nverts[v], base) for v in simplex[1:]]
-            try:
-                total += la.lattice_index(rows)
-            except DomainError:
+        low = face.mask & -face.mask  # vertices are lex sorted
+        v = P._nverts[low.bit_length() - 1]
+        total = 0 if face.dim else 1
+        for child in P.face_children(face):
+            if child.mask & low:
+                continue
+            g, t = P._content(face, child)
+            a, b = P._nfacets[t]
+            h, rem = divmod(la.dot(a, v) - b, g)
+            if rem or h < 1:
+                what = "not an integer" if rem else "not positive"
                 raise broken_identity(
-                    f"degenerate simplex {simplex} in the triangulation", face
-                ) from None
+                    f"height of the first vertex over the facet"
+                    f" {child.vertex_ids} is {what}",
+                    face,
+                )
+            total += h * _nvol(P, child)
         if total <= 0:
             raise broken_identity("face has nonpositive volume", face)
         P._cache[key] = total

@@ -10,8 +10,9 @@ point subset, half-open parallelotope point counts, and bounding-box
 lattice counts with convex-hull membership tests. The last section
 keeps retired library routines (the Smith normal form, the Smith route
 to `affine_normalize`, the per-face normalized box scan, the hull's
-start cone from one kernel per start row and the per-face `Fraction`
-sum of `c_star`) as differential oracles; those build on the library.
+start cone from one kernel per start row, the per-face `Fraction` sum
+of `c_star` and volumes from a pulling triangulation) as differential
+oracles; those build on the library.
 Slow on purpose; used only at desk scale.
 """
 
@@ -354,32 +355,45 @@ def hull_vertices(points, facets):
 
 
 def parallelotope_points(gens):
-    """Number of integer points in {sum a_i g_i : 0 <= a_i < 1}."""
+    """Number of integer points in {sum a_i g_i : 0 <= a_i < 1}.
+
+    A point of the span is fixed by its coordinates at k rows of the
+    n x k generator matrix that are independent, so the scan runs over
+    the bounding box of those k coordinates only. The inverse of that
+    k x k block, written as N / D with N integral, gives D a_i; a point
+    counts when every D a_i lies in [0, D) and D divides every coordinate
+    of D sum a_i g_i."""
     gens = [tuple(g) for g in gens]
     k = len(gens)
     if k == 0:
         return 1
     n = len(gens[0])
-    corners = []
-    for eps in itertools.product((0, 1), repeat=k):
-        corners.append(
-            tuple(sum(e * g[j] for e, g in zip(eps, gens)) for j in range(n))
-        )
-    lo = [min(c[j] for c in corners) for j in range(n)]
-    hi = [max(c[j] for c in corners) for j in range(n)]
-    cols = [[g[j] for g in gens] for j in range(n)]  # n x k system
+    rows = []
+    for j in range(n):
+        if gauss_rank([[g[i] for g in gens] for i in rows + [j]]) > len(rows):
+            rows.append(j)
+    if len(rows) < k:
+        raise ValueError("generators are not independent")
+    block = [[g[j] for g in gens] for j in rows]
+    # column c of the inverse solves block . x = e_c
+    inverse = [gauss_solve(block, [int(i == c) for i in range(k)]) for c in range(k)]
+    D = 1
+    for col in inverse:
+        for x in col:
+            D = D * x.denominator // gcd(D, x.denominator)
+    N = [[int(inverse[c][i] * D) for c in range(k)] for i in range(k)]
+    ranges = []
+    for j in rows:
+        lo = sum(min(g[j], 0) for g in gens)
+        hi = sum(max(g[j], 0) for g in gens)
+        ranges.append(range(lo, hi + 1))
     count = 0
-    for x in itertools.product(*(range(lo[j], hi[j] + 1) for j in range(n))):
-        alpha = gauss_solve(cols, list(x))
-        if alpha is None:
-            continue
-        if all(0 <= a < 1 for a in alpha):
-            # solution must be exact, not merely least squares: verify
-            if all(
-                sum(a * g[j] for a, g in zip(alpha, gens)) == x[j]
-                for j in range(n)
-            ):
-                count += 1
+    for y in itertools.product(*ranges):
+        scaled = [sum(a * b for a, b in zip(row, y)) for row in N]  # D * a_i
+        if all(0 <= a < D for a in scaled) and all(
+            sum(a * g[j] for a, g in zip(scaled, gens)) % D == 0 for j in range(n)
+        ):
+            count += 1
     return count
 
 
@@ -700,3 +714,38 @@ def fraction_c_star(P):
         ),
         Fraction(0),
     )
+
+
+def pulling_triangulation(P, face, memo=None):
+    """Pulling triangulation of a face, as tuples of vertex ids: cones
+    from its lexicographically smallest vertex over the triangulations of
+    its facets that avoid that vertex."""
+    memo = {} if memo is None else memo
+    if face.mask not in memo:
+        low = face.mask & -face.mask  # vertices are lex sorted
+        apex = low.bit_length() - 1
+        simplices = [] if face.dim else [(apex,)]
+        for child in P.face_children(face):
+            if not child.mask & low:
+                simplices += [
+                    s + (apex,) for s in pulling_triangulation(P, child, memo)
+                ]
+        memo[face.mask] = simplices
+    return memo[face.mask]
+
+
+def triangulation_volumes(P):
+    """Face mask -> nvol(F) for every face of P: the sum over the simplices
+    of F's pulling triangulation of the `lattice_index` of their edge rows
+    in P's model, each a simplex's normalized volume in its own span."""
+    memo = {}
+    out = {}
+    for face in P.face_lattice():
+        total = 0
+        for simplex in pulling_triangulation(P, face, memo):
+            base = P._nverts[simplex[0]]
+            total += la.lattice_index(
+                [la.vec_sub(P._nverts[v], base) for v in simplex[1:]]
+            )
+        out[face.mask] = total
+    return out

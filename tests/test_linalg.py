@@ -232,6 +232,25 @@ class TestLatticeIndex:
         assert la.lattice_index(gens) == la.lattice_index(new_gens)
 
 
+class TestCutBasis:
+    def test_vanishing_coordinate(self):
+        assert la.cut_basis([(0, 1), (0, 2)], 0) == (0, [(0, 1), (0, 2)])
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(square_matrix(4), st.data())
+    def test_splits_the_determinant(self, M, data):
+        # for a basis B of a full lattice L and H = {x_j = 0}, |det B| is
+        # the content g of x_j on L times the index of L cap H in Z^m cap H,
+        # which the rest attains only if it spans all of L cap H
+        if la.det(M) == 0:
+            return
+        j = data.draw(st.integers(0, len(M) - 1))
+        g, rest = la.cut_basis([tuple(r) for r in M], j)
+        assert g == math.gcd(*(r[j] for r in M))
+        assert len(rest) == len(M) - 1 and all(c[j] == 0 for c in rest)
+        assert abs(la.det(M)) == g * la.lattice_index(rest)
+
+
 class TestAffineNormalize:
     def test_single_point(self):
         norm = la.affine_normalize([(4, 5, 6)])

@@ -10,6 +10,7 @@ from polyinv import (
     ehrhart,
     hypersimplex,
     lattice_points,
+    mult,
     normalized_volume,
     product,
     simplex,
@@ -77,12 +78,31 @@ class TestNormalizedVolume:
                     normalized_volume(P)
                 )
 
-    def test_degenerate_triangulation_simplex_raises(self):
-        P = cube(3, 1)
-        # vertices 0..3 span the facet x_1 = 0, not a 3-simplex
-        P._cache[("tri", P.top_face().mask)] = ((0, 1, 2, 3),)
-        with pytest.raises(InternalConsistencyError, match="degenerate simplex"):
+    @staticmethod
+    def _offset_moved(b):
+        """conv{(0,0), (2,0), (0,3)} with the offset of its facet
+        3x + 2y <= 6 replaced by b: its normal has content 3 on the edge
+        from (0,0) to (2,0), where the true height of (0,0) is 6/3 = 2."""
+        P = Polytope.from_vertices([(0, 0), (2, 0), (0, 3)], name="triangle_23")
+        j = [a for a, _ in P._nfacets].index((-3, -2))
+        P._nfacets = P._nfacets[:j] + (((-3, -2), -b),) + P._nfacets[j + 1 :]
+        return P
+
+    def test_non_integral_height_raises(self):
+        P = self._offset_moved(5)
+        edge = [f for f in P.faces(1) if f.vertices == ((0, 0), (2, 0))][0]
+        with pytest.raises(InternalConsistencyError, match="not an integer") as err:
+            normalized_volume(edge)
+        assert f"face {edge.vertex_ids}" in str(err.value)
+        assert "polytope triangle_23" in str(err.value)
+
+    def test_nonpositive_height_raises(self):
+        # the facet now passes through (0,0), the apex of the top face
+        P = self._offset_moved(0)
+        with pytest.raises(InternalConsistencyError, match="not positive") as err:
             normalized_volume(P)
+        assert f"face {P.top_face().vertex_ids}" in str(err.value)
+        assert "polytope triangle_23" in str(err.value)
 
     def test_additive_over_a_split(self):
         # [0,3] x [0,1] split along x = 1 into two rectangles
@@ -318,3 +338,69 @@ class TestCountInOwnModel:
                 assert lattice_points(f, n) == oracles.face_model_scan_count(
                     P, f, n
                 ), (f.vertex_ids, n)
+
+
+def _volume_sums(P):
+    sums = [0] * (P.dim + 1)
+    for f in P.face_lattice():
+        sums[f.dim] += normalized_volume(f)
+    return sums
+
+
+class TestPyramidVolumes:
+    """`normalized_volume` (pyramid heights over one lattice basis per
+    face) and `mult` (the contents of the cutting facets) against the
+    pulling triangulation's `lattice_index` sum, the parallelotope count
+    and their behaviour under dilation and unimodular maps."""
+
+    @staticmethod
+    def _check(P):
+        vols = oracles.triangulation_volumes(P)
+        for f in P.face_lattice():
+            assert normalized_volume(f) == vols[f.mask], (P.name, f.vertex_ids)
+            if P.is_simple():
+                normals = [P._nfacets[j][0] for j in f.facet_ids]
+                assert mult(P, f) == oracles.parallelotope_points(normals), (
+                    P.name,
+                    f.vertex_ids,
+                )
+
+    def test_corpora(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        joins = [J for J, _k, _r in join_corpus]
+        for P in small_corpus + simple_corpus + conjecture_corpus + joins:
+            self._check(P)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_hull_inputs(self, data):
+        pts = data.draw(hull_inputs())
+        if data.draw(st.booleans()):
+            U, t = data.draw(unimodular_maps(len(pts[0])))
+            pts = [
+                tuple(sum(u * x for u, x in zip(row, p)) + s for row, s in zip(U, t))
+                for p in pts
+            ]
+        self._check(Polytope.from_vertices(pts))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(lattice_polytopes(), st.sampled_from((2, 3)))
+    def test_dilate_scales_volume_sums(self, P, n):
+        scaled = [n**k * s for k, s in enumerate(_volume_sums(P))]
+        assert _volume_sums(P.dilate(n)) == scaled
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_unimodular_invariance(self, data):
+        P = data.draw(lattice_polytopes())
+        U, t = data.draw(unimodular_maps(P.ambient_dim))
+        Q = P.unimodular_image(U, t)
+        image = {frozenset(g.vertices): g for g in Q.face_lattice()}
+        for f in P.face_lattice():
+            moved = frozenset(
+                tuple(sum(u * x for u, x in zip(row, v)) + s for row, s in zip(U, t))
+                for v in f.vertices
+            )
+            g = image[moved]
+            assert normalized_volume(g) == normalized_volume(f)
+            if P.is_simple():
+                assert mult(Q, g) == mult(P, f)

@@ -7,9 +7,10 @@ constant on equivalence classes.
 
 `paired_unimodular_map` is the one place where such a map is solved and
 verified: given where each point goes, it solves the map from a frame at
-the first point by one fraction-free elimination, requires it to be
-integral with |det| = 1, and checks every pair. The classifier calls it
-with the vertex correspondence its join decomposition predicts.
+the first point through `linalg.solve` (the package's one fraction-free
+elimination), requires it to be integral with |det| = 1, and checks
+every pair. The classifier calls it with the vertex correspondence its
+join decomposition predicts.
 
 `find_unimodular_map` searches when no correspondence is known. It works
 on the normalized full-dimensional models. After quick invariant filters
@@ -34,37 +35,6 @@ from .polytope import Polytope
 Map = tuple[list[list[int]], tuple[int, ...]]
 
 
-def _solve(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], n: int):
-    """The integer X with A X = B for A with n columns, solved from the
-    first rows of A that reach rank n, or None if A has lower rank or X
-    is not integral. Bareiss elimination on [A | B], then a back
-    substitution scaled by the last pivot d (the frame's determinant up
-    to sign), so every division is exact."""
-    a = [list(ra) + list(rb) for ra, rb in zip(A, B)]
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        for i in range(col + 1, len(a)):
-            f = a[i][col]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], a[col])]
-        prev = p
-    dX: list[list[int]] = [[] for _ in range(n)]  # d times the solution
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        dX[i] = [
-            (prev * row[n + c] - sum(row[j] * dX[j][c] for j in range(i + 1, n)))
-            // row[i]
-            for c in range(len(row) - n)
-        ]
-    if any(x % prev for row in dX for x in row):
-        return None
-    return [[x // prev for x in row] for row in dX]
-
-
 def paired_unimodular_map(
     src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]
 ) -> Optional[Map]:
@@ -72,11 +42,11 @@ def paired_unimodular_map(
     dst[i] for every i, or None if there is none.
 
     The points of `src` must affinely span their space. M is solved from
-    a frame at src[0], the first differences src[i] - src[0] that reach
-    full rank, and then checked on every pair.
+    a frame at src[0], differences src[i] - src[0] of full rank that the
+    elimination pivots on, and then checked on every pair.
     """
     p0, q0 = src[0], dst[0]
-    X = _solve(
+    X = la.solve(
         [la.vec_sub(p, p0) for p in src[1:]], [la.vec_sub(q, q0) for q in dst[1:]],
         len(p0),
     )
@@ -95,16 +65,9 @@ def paired_unimodular_map(
 def _frame(P: Polytope, v: int) -> Optional[list[int]]:
     """Ids of dim(P) neighbors of v spanning the model space."""
     nbrs = P.edge_graph()[v]
-    chosen: list[int] = []
-    rows: list[list[int]] = []
-    for w in nbrs:
-        cand = rows + [list(la.vec_sub(P._nverts[w], P._nverts[v]))]
-        if la.rank(cand) == len(cand):
-            rows = cand
-            chosen.append(w)
-            if len(chosen) == P.dim:
-                return chosen
-    return None
+    diffs = [la.vec_sub(P._nverts[w], P._nverts[v]) for w in nbrs]
+    chosen = [nbrs[i] for i in la.independent_rows(diffs, P.dim)]
+    return chosen if len(chosen) == P.dim else None
 
 
 def _signature(P: Polytope):

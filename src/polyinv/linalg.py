@@ -5,12 +5,20 @@ tuples of ints. Everything here is arbitrary precision and fraction free:
 no floats anywhere. Rationals, where they appear at the API edges of other
 modules, are `fractions.Fraction`.
 
+One fraction-free elimination, `_eliminate` (Bareiss), serves `det`,
+`rank`, `adjugate`, `solve` and `independent_rows`; `adjugate` and
+`solve` add one back substitution scaled by its last pivot. One extended
+gcd step, `cut_basis`, splits a lattice along a coordinate, and
+`lattice_index` is a product of its contents.
+
 The one normal form, `hermite_normal_form`, is row style with positive
 pivots and entries above a pivot reduced into [0, pivot), so outputs are
-reproducible. `affine_normalize` reads the span equations, the saturated
-direction lattice and its dual projection off Hermite forms (Cohen, "A
-Course in Computational Algebraic Number Theory", 2.4); there is no
-Smith form.
+reproducible. It stays a separate gcd elimination because callers read
+its unimodular transform, not only its rank or pivots: the span lattice
+bases, and so the model coordinates that `classify` prints, are rows of
+it. `affine_normalize` reads the span equations, the saturated direction
+lattice and its dual projection off Hermite forms (Cohen, "A Course in
+Computational Algebraic Number Theory", 2.4); there is no Smith form.
 """
 
 from __future__ import annotations
@@ -70,84 +78,111 @@ def vec_add(a: Sequence[int], b: Sequence[int]) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# determinant and rank (Bareiss, fraction free)
+# one fraction-free elimination (Bareiss) and the kernels that read it
 
 
-def det(M: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in M):
-        raise DomainError("determinant of a non-square matrix")
-    a = copy_matrix(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _eliminate(rows: Iterable[Sequence[int]], n: int) -> tuple[Matrix, int, int, int]:
+    """Bareiss forward elimination over the first n columns of `rows`.
 
-
-def adjugate(M: Sequence[Sequence[int]]) -> Matrix:
-    """adj(M) = det(M) M^-1 of a nonsingular square integer matrix by one
-    fraction-free Gauss-Jordan pass (Bareiss) over [M | I], ending at
-    [det(M) I | adj(M)]: entries are minors, and a swap negates one row."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise DomainError("adjugate of a non-square matrix")
-    a = [list(row) + e for row, e in zip(M, identity(n))]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise DomainError("adjugate of a singular matrix")
-        if piv != k:
-            a[k], a[piv] = a[piv], [-x for x in a[k]]
-        p = a[k]
-        for i, row in enumerate(a):
-            if i != k:
-                a[i] = [(x * p[k] - row[k] * y) // prev for x, y in zip(row, p)]
-        prev = p[k]
-    return [row[n:] for row in a]
-
-
-def rank(M: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix (fraction-free elimination)."""
-    a = copy_matrix(M)
+    Returns (a, r, sign, p): the rows in echelon form (columns past n,
+    such as a right-hand side, are carried along), the rank r of the
+    first n columns, the sign of the row swaps and the last pivot. A
+    column without a pivot is skipped. After k pivots every entry below
+    them is a (k + 1)-minor of the swapped rows, so each division by the
+    previous pivot is exact (Bareiss 1968); with r = n the last pivot
+    is the determinant of the top n rows as swapped.
+    """
+    a = [list(row) for row in rows]
     m = len(a)
-    n = len(a[0]) if m else 0
-    r = 0
-    prev = 1
+    width = len(a[0]) if m else 0
+    r, sign, prev = 0, 1, 1
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
+        for piv in range(r, m):
+            if a[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[col]
         for i in range(r + 1, m):
-            for j in range(col + 1, n):
-                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
-            a[i][col] = 0
-        prev = a[r][col]
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, width):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[col] = 0
+        prev = p
         r += 1
         if r == m:
             break
-    return r
+    return a, r, sign, prev
+
+
+def _back_substitute(a: Matrix, n: int, p: int) -> Matrix:
+    """p X for the X with A X = B, where the first n rows of `a` are the
+    elimination of [A | B], A square of full rank, and p is its last
+    pivot, det A. p X = adj(A) B is integral, so every division is
+    exact."""
+    X: Matrix = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [p * x for x in row[n:]]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, X[j])]
+        X[i] = [x // row[i] for x in acc]
+    return X
+
+
+def det(M: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise DomainError("determinant of a non-square matrix")
+    _, r, sign, p = _eliminate(M, n)
+    return sign * p if r == n else 0
+
+
+def rank(M: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    return _eliminate(M, len(M[0]) if M else 0)[1]
+
+
+def adjugate(M: Sequence[Sequence[int]]) -> Matrix:
+    """adj(M) = det(M) M^-1 of a nonsingular square integer matrix. The
+    back substitution of [M | I] gives p M^-1, where the last pivot p is
+    det(M) times the sign of the row swaps."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise DomainError("adjugate of a non-square matrix")
+    a, r, sign, p = _eliminate(([*row, *e] for row, e in zip(M, identity(n))), n)
+    if r < n:
+        raise DomainError("adjugate of a singular matrix")
+    return [[sign * x for x in row] for row in _back_substitute(a, n, p)]
+
+
+def solve(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], n: int):
+    """The integer X with A X = B for A with n columns, solved from the
+    top n rows of the elimination of [A | B], or None if A has lower
+    rank or X is not integral. The other rows are not checked."""
+    a, r, _, p = _eliminate(([*ra, *rb] for ra, rb in zip(A, B)), n)
+    if r < n:
+        return None
+    pX = _back_substitute(a, n, p)
+    if any(x % p for row in pX for x in row):
+        return None
+    return [[x // p for x in row] for row in pX]
+
+
+def independent_rows(rows: Sequence[Sequence[int]], k: int) -> list[int]:
+    """Ids of the first k rows, greedily, each independent of the rows
+    before it; fewer when the rows have lower rank. They are the pivot
+    columns of the transpose's echelon form."""
+    a, r, _, _ = _eliminate(transpose(rows), len(rows))
+    return [next(j for j, x in enumerate(row) if x) for row in a[:min(r, k)]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +252,7 @@ def is_unimodular(M: Sequence[Sequence[int]]) -> bool:
     n = len(M)
     if any(len(row) != n for row in M):
         return False
-    return abs(det(M)) == 1 if n else True
+    return abs(det(M)) == 1
 
 
 def kernel_basis(M: Sequence[Sequence[int]]) -> list[Vector]:
@@ -270,25 +305,20 @@ def lattice_index(gens: Sequence[Sequence[int]]) -> int:
 
     Equals the number of lattice points in the half-open parallelotope
     spanned by the generators, and the product of the Smith diagonal
-    entries of the generator matrix. Unimodular column operations keep
-    the index; extended gcd steps bring the k generators to [L | 0] with
-    L lower triangular, whose index is |det L|.
+    entries of the k x n generator matrix, which is also the index in
+    Z^k of the lattice its columns generate. That index is the product
+    of the contents that successive `cut_basis` steps read off the
+    columns, one coordinate of Z^k at a time; a zero content means the
+    columns do not span Z^k, so the generators are dependent.
     """
-    a = [list(g) for g in gens]
-    if a and len(a) > len(a[0]):
-        raise DomainError("generators not independent")
+    basis = list(zip(*gens))
     index = 1
-    for i, row in enumerate(a):
-        for j in range(i + 1, len(row)):
-            if row[j]:
-                g, x, y = _xgcd(row[i], row[j])
-                p, q = row[i] // g, row[j] // g
-                for r in a[i:]:
-                    r[i], r[j] = x * r[i] + y * r[j], p * r[j] - q * r[i]
-        index *= row[i]
-    if index == 0:
-        raise DomainError("generators not independent")
-    return abs(index)
+    for j in range(len(gens)):
+        g, basis = cut_basis(basis, j)
+        if not g:
+            raise DomainError("generators not independent")
+        index *= g
+    return index
 
 
 def cut_basis(basis: Sequence[Sequence[int]], j: int) -> tuple[int, list]:
@@ -297,7 +327,8 @@ def cut_basis(basis: Sequence[Sequence[int]], j: int) -> tuple[int, list]:
     basis, and `rest` is a basis of L cap {x_j = 0}. Extended gcd steps
     on the basis vectors (unimodular column operations) send those
     entries to (g, 0, ..., 0); `rest` is every vector but the first.
-    g = 0 when x_j vanishes on L."""
+    g = 0 when x_j vanishes on L. The same holds for any generating set
+    of L in place of a basis, with `rest` generating L cap {x_j = 0}."""
     if not basis:
         return 0, []
     first, rest = basis[0], []

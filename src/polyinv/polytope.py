@@ -348,8 +348,6 @@ class Polytope:
     def _compute_delzant(self) -> bool:
         if not self.is_simple():
             return False
-        if self.dim == 0:
-            return True
         g = self.edge_graph()
         for v, nbrs in g.items():
             dirs = [
@@ -552,14 +550,8 @@ def _start_cone(model: list[Point], d: int) -> tuple[list[int], list[Point]]:
     """The first d + 1 affinely independent point ids, greedily, and the
     rays of the cone {x : M x >= 0} on their rows (v, -1): the columns of
     adj(M), primitive and signed by the one row of M they miss."""
-    start, diffs = [0], []
-    for i in range(1, len(model)):
-        diff = la.vec_sub(model[i], model[0])
-        if la.rank(diffs + [diff]) > len(diffs):
-            diffs.append(diff)
-            start.append(i)
-            if len(start) > d:
-                break
+    diffs = [la.vec_sub(v, model[0]) for v in model[1:]]
+    start = [0] + [i + 1 for i in la.independent_rows(diffs, d)]
     M = [model[i] + (-1,) for i in start]
     rays = []
     for row, col in zip(M, zip(*la.adjugate(M))):

@@ -2,12 +2,13 @@
 
 Everything here is deliberately written from scratch against the same
 mathematical definitions the library implements, sharing no code with
-it: exact rational Gaussian elimination, a tiny phase-I simplex over
-Fractions for feasibility questions, supporting-hyperplane face
-detection by subset enumeration, the graded face lattice pass on
-frozensets, facets by hyperplanes through every affinely independent
-point subset, half-open parallelotope point counts, and bounding-box
-lattice counts with convex-hull membership tests. The last section
+it: exact rational Gaussian elimination, determinants as signed
+permutation sums, a tiny phase-I simplex over Fractions for
+feasibility questions, supporting-hyperplane face detection by subset
+enumeration, the graded face lattice pass on frozensets, facets by
+hyperplanes through every affinely independent point subset,
+half-open parallelotope point counts, and bounding-box lattice counts
+with convex-hull membership tests. The last section
 keeps retired library routines (the Smith normal form, the Smith route
 to `affine_normalize`, the per-face normalized box scan, the hull's
 start cone from one kernel per start row, the per-face `Fraction` sum
@@ -90,6 +91,20 @@ def gauss_solve(A, b):
     for i, col in enumerate(pivots):
         x[col] = aug[i][n]
     return x
+
+
+def leibniz_det(M):
+    """Determinant as the signed sum over permutations (Leibniz)."""
+    total = 0
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm))
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
 
 
 def gauss_kernel(rows, n):

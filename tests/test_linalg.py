@@ -62,6 +62,128 @@ def square_matrix(max_dim=5):
     )
 
 
+def integer_matrix(m, n, entry=small_int):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@st.composite
+def degenerate_matrix(draw, max_dim=5):
+    """An m x n matrix, m, n <= max_dim, now and then of rank below both
+    (a product through a thinner inner dimension), with a forced zero
+    column and a repeated row now and then: the cases where elimination
+    skips a pivot column."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        M = draw(integer_matrix(m, n))
+    else:
+        k = draw(st.integers(1, min(m, n)))
+        f = st.integers(-3, 3)
+        M = la.mat_mul(draw(integer_matrix(m, k, f)), draw(integer_matrix(k, n, f)))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in M:
+            row[j] = 0
+    if draw(st.booleans()):
+        M.insert(draw(st.integers(0, m)), list(M[draw(st.integers(0, m - 1))]))
+    return M
+
+
+class TestRank:
+    """The shared elimination's rank against rational Gaussian elimination."""
+
+    def test_skipped_pivot_column(self):
+        # after the first pivot both lower rows vanish in column 1
+        M = [[1, 2, 3], [2, 4, 7], [3, 6, 10]]
+        assert la.rank(M) == 2 == oracles.gauss_rank(M)
+
+    def test_empty(self):
+        assert la.rank([]) == 0 and la.rank([[0, 0]]) == 0
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(degenerate_matrix())
+    def test_matches_gauss_rank(self, M):
+        assert la.rank(M) == oracles.gauss_rank(M)
+
+
+class TestDet:
+    """The shared elimination's determinant against the Leibniz sum."""
+
+    def test_zero_leading_pivot(self):
+        assert la.det([[0, 1, 0], [1, 0, 0], [0, 0, 2]]) == -2
+
+    def test_empty(self):
+        assert la.det([]) == 1
+        assert la.is_unimodular([])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(square_matrix(), st.booleans(), st.data())
+    def test_matches_leibniz(self, M, zero_pivot, data):
+        if zero_pivot:
+            M[0][0] = 0  # the first pivot then needs a row swap, or is missing
+        if len(M) > 1 and data.draw(st.booleans()):
+            M[-1] = list(M[data.draw(st.integers(0, len(M) - 2))])
+        assert la.det(M) == oracles.leibniz_det(M)
+
+
+class TestSolve:
+    """`solve` returns the integer X with A X = B, and None when A has
+    lower rank than its column count or X is not integral."""
+
+    def test_non_integral(self):
+        assert la.solve([[2]], [[1]], 1) is None
+        assert la.solve([[2]], [[4]], 1) == [[2]]
+
+    def test_rank_deficient(self):
+        assert la.solve([[1, 2], [2, 4], [3, 6]], [[1], [2], [3]], 2) is None
+
+    def test_zero_leading_pivot_and_extra_rows(self):
+        A = [[0, 1], [0, 2], [1, 0], [1, 1]]
+        assert la.solve(A, la.mat_mul(A, [[2, -1], [3, 5]]), 2) == [[2, -1], [3, 5]]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(degenerate_matrix(4), st.data())
+    def test_recovers_integral_solution(self, A, data):
+        n, c = len(A[0]), data.draw(st.integers(1, 3))
+        X = data.draw(integer_matrix(n, c))
+        got = la.solve(A, la.mat_mul(A, X), n)
+        assert got == (X if oracles.gauss_rank(A) == n else None)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(square_matrix(4), st.data())
+    def test_matches_gauss_solve(self, A, data):
+        n, c = len(A), data.draw(st.integers(1, 3))
+        B = data.draw(integer_matrix(n, c))
+        got = la.solve(A, B, n)
+        if oracles.gauss_rank(A) < n:
+            assert got is None
+            return
+        cols = [oracles.gauss_solve(A, [row[k] for row in B]) for k in range(c)]
+        if all(x.denominator == 1 for col in cols for x in col):
+            assert got == [[int(x) for x in row] for row in zip(*cols)]
+        else:
+            assert got is None
+
+
+class TestIndependentRows:
+    """The first rows that reach rank k, greedily, against repeated ranks."""
+
+    def test_skips_dependent_rows(self):
+        rows = [[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 0, 0]]
+        assert la.independent_rows(rows, 3) == [1, 3, 4]
+        assert la.independent_rows(rows, 2) == [1, 3]
+        assert la.independent_rows(rows[:3], 3) == [1]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(degenerate_matrix(), st.integers(1, 5))
+    def test_matches_greedy_rank(self, rows, k):
+        greedy = []
+        for i in range(len(rows)):
+            kept = [rows[j] for j in greedy + [i]]
+            if len(kept) <= k and oracles.gauss_rank(kept) == len(kept):
+                greedy.append(i)
+        assert la.independent_rows(rows, k) == greedy
+
+
 class TestAdjugate:
     """adj(M) M = M adj(M) = det(M) I, row swaps included."""
 

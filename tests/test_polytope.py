@@ -377,7 +377,10 @@ class TestPredicates:
         assert not hypersimplex(3, 6).is_delzant()
 
     def test_point_is_delzant(self):
+        # no edges: the empty determinant is 1, in every ambient dimension
         assert simplex(0).is_delzant()
+        assert Polytope.from_vertices([()]).is_delzant()
+        assert Polytope.from_vertices([(3, -1)]).is_delzant()
 
 
 class TestTransforms:

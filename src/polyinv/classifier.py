@@ -39,7 +39,7 @@ from typing import Optional
 from . import linalg as la
 from .constructions import JoinSpec
 from .equivalence import paired_unimodular_map
-from .errors import DomainError, InternalConsistencyError, broken_identity
+from .errors import DomainError, broken_identity
 from .invariants import c, c_star, dual_degree
 from .polytope import Polytope
 
@@ -73,13 +73,6 @@ class JoinDecomposition:
     projection_matrix: tuple[tuple[int, ...], ...]
     projection_shift: tuple[int, ...]
     fibers: tuple[Polytope, ...]
-
-    def __post_init__(self):
-        r = self.fibers[0].dim + self.k
-        if not _k_min(r) <= self.k <= r:
-            raise InternalConsistencyError("join parameter outside classified range")
-        if self.defect != 2 * self.k - r:
-            raise InternalConsistencyError("defect value inconsistent with k")
 
     def to_dict(self) -> dict:
         simplex_vertices = sorted(_standard_simplex_vertices(self.k))
@@ -123,8 +116,15 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
             if not _exact_cover([complements[j] for j in J], full):
                 continue
             dec = _try_subset(P, J, k)
-            if dec is not None:
-                return dec
+            if dec is None:
+                continue
+            if not _k_min(r) <= dec.k <= r:
+                raise broken_identity(
+                    "join parameter outside classified range", P.top_face()
+                )
+            if dec.defect != 2 * dec.k - r:
+                raise broken_identity("defect value inconsistent with k", P.top_face())
+            return dec
     raise broken_identity("classification violated", P.top_face())
 
 

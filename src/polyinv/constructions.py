@@ -143,9 +143,9 @@ class JoinSpec:
                 continue
             # transport P's facet normals into the shared coordinates
             T = la.mat_mul([list(r) for r in A], la.transpose([list(w) for w in P._norm.basis]))
-            if not la.is_unimodular(T):
-                raise DomainError(
-                    "summands not strongly isomorphic: affine spans differ"
+            if not la.is_unimodular(T):  # W = U W0, U unimodular: T = U^T
+                raise broken_identity(
+                    "span lattice transport is not unimodular", P.top_face()
                 )
             TinvT = la.transpose(la.unimodular_inverse(T))
             normals = [tuple(la.mat_vec(TinvT, a)) for a, _ in P._nfacets]

@@ -38,12 +38,7 @@ from math import factorial
 from typing import Optional, Sequence, Union
 
 from . import volumes as vol
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NotSimpleError,
-    broken_identity,
-)
+from .errors import DomainError, NotSimpleError, broken_identity
 from .polytope import Face, Polytope
 
 
@@ -195,10 +190,6 @@ class InvariantReport:
     dual_degree: Optional[int] = None
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.f_coefficients[-1] != self.c:
-            raise InternalConsistencyError("report has d_r != c")
-
     def to_dict(self) -> dict:
         doc = {
             "c": self.c,
@@ -220,6 +211,8 @@ def report(P: Polytope, t_range: Sequence[int] = (0, 1, 2, 3, 4)) -> InvariantRe
     cval = c(P)
     ct = {t: c_t(P, t) for t in t_range}
     fcoef = tuple(f_polynomial(P))
+    if fcoef[-1] != cval:
+        raise broken_identity("report has d_r != c", P.top_face())
     cstar = None
     if P.is_simple():
         cstar = c_star(P)

@@ -25,15 +25,18 @@ left come from counts at n = 1..floor((k - 1)/2) (Macdonald 1971; Beck
 & Robins, "Computing the Continuous Discretely", ch. 4-5). Faces of
 dimension <= 2 are never counted.
 
-Lattice counts |nF cap Z^ambient| run in P's own model, an affine
-lattice isomorphism of aff(P) cap Z^ambient onto Z^dim, so no face is
-normalized (`_count_dilate`): F is cut out by P's facet inequalities and
-the reversed inequality of each facet containing it. The scan of the
-dilated bounding box of F fixes one coordinate at a time; the values of
-a coordinate that can still reach a point form an interval, solved from
-the inequalities, and the last coordinate adds its interval's length.
-No floating point, no approximation. `ehrhart` interpolates such direct
-counts, so it is independent of the structural route.
+Lattice counts |nF cap Z^ambient| come from one scan of nP per n in
+P's own model, an affine lattice isomorphism of aff(P) cap Z^ambient
+onto Z^dim, cut out by P's facet inequalities alone (`_scan`). The scan
+of the dilated bounding box fixes one coordinate at a time; the values
+of a coordinate that can still reach a point form an interval, solved
+from the inequalities, and the last coordinate adds its interval's
+length. For a proper face the scan credits each point to its carrier,
+the smallest face containing it, whose facet mask is the point's tight
+set; L_F(n) is then the sum of the interior counts L°_G(n) over the
+faces G <= F. P alone is the same scan without credits. No floating
+point, no approximation. `ehrhart` interpolates such direct counts, so
+it is independent of the structural route.
 """
 
 from __future__ import annotations
@@ -99,15 +102,39 @@ def volume(face: FaceLike) -> Fraction:
 
 
 def lattice_points(face: FaceLike, n: int) -> int:
-    """|nF cap Z^ambient| for an integer dilation n >= 1."""
+    """|nF cap Z^ambient| for an integer dilation n >= 1: a proper face F
+    sums L°_G(n) over the faces G <= F from the carrier table of nP, one
+    per n; P alone is a plain scan of nP unless that table exists."""
     if n < 1:
         raise DomainError("dilation must be a positive integer")
     face = _as_face(face)
     P = face.owner
     key = ("count", face.mask, n)
     if key not in P._cache:
-        P._cache[key] = _count_dilate(P, face, n)
+        table = P._cache.get(("carriers", n))
+        if face.dim == 0:
+            P._cache[key] = 1
+        elif table is None and not face.facet_mask:
+            P._cache[key] = _scan(P, n, credit=False)
+        else:
+            if table is None:
+                table = P._cache[("carriers", n)] = _scan(P, n, credit=True)
+            below = _below(P)[face.mask]
+            P._cache[key] = table[face.mask] + sum(map(table.__getitem__, below))
     return P._cache[key]
+
+
+def _below(P: Polytope) -> dict[int, tuple[int, ...]]:
+    """Face mask -> the masks of the face's proper faces."""
+    if "below" not in P._cache:
+        below = P._cache["below"] = {}
+        for face in P.face_lattice():  # sorted by dimension
+            sub = set()
+            for child in P.face_children(face):
+                sub.add(child.mask)
+                sub.update(below[child.mask])
+            below[face.mask] = tuple(sub)  # lives with P: a quarter of a set's size
+    return P._cache["below"]
 
 
 def ehrhart_polynomial(face: FaceLike) -> tuple[Fraction, ...]:
@@ -134,17 +161,12 @@ def scaled_ehrhart(P: Polytope) -> dict[int, tuple[int, ...]]:
     if "ehrhart" not in P._cache:
         scale = factorial(P.dim)
         out: dict[int, tuple[int, ...]] = {}
-        below: dict[int, set] = {}  # face mask -> the masks of its proper faces
+        below = _below(P)
         interior: dict[int, list[int]] = {}  # face mask -> scaled L° coefficients
         for face in P.face_lattice():  # sorted by dimension
             k = face.dim
-            sub: set = set()
-            for child in P.face_children(face):
-                sub.add(child.mask)
-                sub |= below[child.mask]
-            below[face.mask] = sub
             boundary = [0] * k
-            for g in sub:
+            for g in below[face.mask]:
                 for j, a in enumerate(interior[g]):
                     boundary[j] += a
             coeffs = _face_ehrhart(face, boundary, scale)
@@ -210,44 +232,47 @@ def _face_ehrhart(face: Face, boundary: list[int], scale: int) -> tuple[int, ...
     return tuple(coeffs)
 
 
-def _count_dilate(P: Polytope, face: Face, n: int) -> int:
-    """|nF cap Z^ambient|, counted in P's own model.
-
-    The model map is an affine lattice isomorphism of aff(P) cap Z^ambient
-    onto Z^dim, so the count is |n F_model cap Z^dim|. F_model is cut out
-    by P's facet inequalities and, for each facet containing F, the
-    reversed one; the scan runs over the bounding box of F's vertices.
-    """
-    if face.dim == 0:
-        return 1
-    ineqs = list(P._nfacets)
-    for j in face.facet_ids:
-        a, b = P._nfacets[j]
-        ineqs.append((tuple(-x for x in a), -b))
-    lo, hi = la.bounding_box(P._nverts[i] for i in face.vertex_ids)
+def _scan(P: Polytope, n: int, credit: bool):
+    """The lattice points of nP in P's model: their number, or with
+    `credit` a map from face mask to L°_G(n), the number of them whose
+    carrier is G. Each facet is affine and >= 0 on a leaf's interval, so
+    it is tight inside iff tight at both ends, and a leaf credits at most
+    three carriers. Counting one small proper face at a large n this way
+    scans all of nP."""
     d = P.dim
+    lo, hi = la.bounding_box(P._nverts)
     # the widest coordinate goes last, where it costs one interval
     order = sorted(range(d), key=lambda j: hi[j] - lo[j])
     lo = [n * lo[j] for j in order]
     hi = [n * hi[j] for j in order]
     # sufmax[j]: the largest value coordinates j.. can add to a . y in the box
     systems = []
-    for a, b in ineqs:
+    for a, b in P._nfacets:
         a = [a[j] for j in order]
         sufmax = [0] * (d + 1)
         for j in range(d - 1, -1, -1):
-            cj = a[j]
-            sufmax[j] = sufmax[j + 1] + max(cj * lo[j], cj * hi[j])
+            sufmax[j] = sufmax[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
         systems.append((a, n * b, sufmax))
+    carrier = {f.facet_mask: f.mask for f in P.face_lattice()} if credit else {}
+    table = dict.fromkeys(carrier.values(), 0)
+    bits = [1 << i for i in range(len(systems))]
+
+    def add(tight: int, prefix: tuple, y: int, points: int) -> None:
+        if tight not in carrier:  # name the point n base + y . basis
+            model = dict(zip(order, prefix + (y,)))
+            x = la.vec_add(P._norm.backward([model[j] for j in range(d)]),
+                           [(n - 1) * c for c in P._norm.base])
+            raise broken_identity(f"the point {x} of {n}P is tight on the"
+                                  " facets of no face", P.top_face())
+        table[carrier[tight]] += points
 
     # coordinate-by-coordinate scan. A branch survives a value y of
     # coordinate j iff p + a_j y + sufmax[j + 1] >= rhs for every system;
     # that is linear in y, so the surviving values form an interval
     count = 0
-    last = d - 1
-    stack = [(0, [0] * len(systems))]
+    stack = [(0, [0] * len(systems), ())]
     while stack:
-        j, partials = stack.pop()
+        j, partials, prefix = stack.pop()
         ylo, yhi = lo[j], hi[j]
         for (a, rhs, suf), p in zip(systems, partials):
             aj = a[j]
@@ -261,13 +286,25 @@ def _count_dilate(P: Polytope, face: Face, n: int) -> int:
             if ylo > yhi:
                 break
         else:
-            if j == last:
+            if j < d - 1:
+                for y in range(ylo, yhi + 1):
+                    nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
+                    stack.append((j + 1, nxt, prefix + (y,)))
+            elif not credit:
                 count += yhi - ylo + 1
-                continue
-            for y in range(ylo, yhi + 1):
-                nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
-                stack.append((j + 1, nxt))
-    return count
+            else:
+                low = high = 0  # the facets tight at each end
+                for (a, rhs, _), p, bit in zip(systems, partials, bits):
+                    if a[j] * ylo == rhs - p:
+                        low |= bit
+                    if a[j] * yhi == rhs - p:
+                        high |= bit
+                add(low, prefix, ylo, 1)
+                if ylo < yhi:
+                    add(high, prefix, yhi, 1)
+                if yhi - ylo > 1:
+                    add(low & high, prefix, ylo + 1, yhi - ylo - 1)
+    return table if credit else count
 
 
 @dataclass(frozen=True)

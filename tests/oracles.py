@@ -8,12 +8,13 @@ feasibility questions, supporting-hyperplane face detection by subset
 enumeration, the graded face lattice pass on frozensets, facets by
 hyperplanes through every affinely independent point subset,
 half-open parallelotope point counts, and bounding-box lattice counts
-with convex-hull membership tests. The last section
-keeps retired library routines (the Smith normal form, the Smith route
-to `affine_normalize`, the per-face normalized box scan, the hull's
-start cone from one kernel per start row, the per-face `Fraction` sum
-of `c_star` and volumes from a pulling triangulation) as differential
-oracles; those build on the library.
+with convex-hull membership tests. The last section keeps retired
+library routines (the Smith normal form, the Smith route to
+`affine_normalize`, the per-face normalized box scan, the per-face
+interval scan in P's model, the hull's start cone from one kernel per
+start row, the per-face `Fraction` sum of `c_star` and volumes from a
+pulling triangulation) as differential oracles; those build on the
+library.
 Slow on purpose; used only at desk scale.
 """
 
@@ -470,9 +471,10 @@ def oracle_normalized_volume(vertices):
 # Unlike the rest of this module these build on the library's Hermite
 # form, its `AffineNormalization` and a polytope's normalized model: they
 # are the code that the Hermite-only `affine_normalize`, the interval
-# scan in P's own model, the adjugate start cone and the per-multiplicity
-# `c_star` sums replaced, kept to check that the replacements give the
-# same bases, counts, rays and values.
+# scan in P's own model, the carrier-crediting scan of nP, the adjugate
+# start cone and the per-multiplicity `c_star` sums replaced, kept to
+# check that the replacements give the same bases, counts, rays and
+# values.
 
 
 def _xgcd(a, b):
@@ -685,6 +687,64 @@ def face_model_scan_count(P, face, n):
                     break
                 nxt.append(p2)
             else:
+                stack.append((j + 1, nxt))
+    return count
+
+
+def interval_scan_count(P, face, n):
+    """|nF cap Z^ambient|, counted in P's own model, one face at a time.
+
+    The model map is an affine lattice isomorphism of aff(P) cap Z^ambient
+    onto Z^dim, so the count is |n F_model cap Z^dim|. F_model is cut out
+    by P's facet inequalities and, for each facet containing F, the
+    reversed one; the scan runs over the bounding box of F's vertices,
+    fixing one coordinate at a time to the interval solved from the
+    inequalities, and the last coordinate adds its interval's length.
+    """
+    if face.dim == 0:
+        return 1
+    ineqs = list(P._nfacets)
+    for j in face.facet_ids:
+        a, b = P._nfacets[j]
+        ineqs.append((tuple(-x for x in a), -b))
+    lo, hi = la.bounding_box(P._nverts[i] for i in face.vertex_ids)
+    d = P.dim
+    # the widest coordinate goes last, where it costs one interval
+    order = sorted(range(d), key=lambda j: hi[j] - lo[j])
+    lo = [n * lo[j] for j in order]
+    hi = [n * hi[j] for j in order]
+    # sufmax[j]: the largest value coordinates j.. can add to a . y in the box
+    systems = []
+    for a, b in ineqs:
+        a = [a[j] for j in order]
+        sufmax = [0] * (d + 1)
+        for j in range(d - 1, -1, -1):
+            cj = a[j]
+            sufmax[j] = sufmax[j + 1] + max(cj * lo[j], cj * hi[j])
+        systems.append((a, n * b, sufmax))
+    count = 0
+    last = d - 1
+    stack = [(0, [0] * len(systems))]
+    while stack:
+        j, partials = stack.pop()
+        ylo, yhi = lo[j], hi[j]
+        for (a, rhs, suf), p in zip(systems, partials):
+            aj = a[j]
+            t = rhs - p - suf[j + 1]
+            if aj > 0:
+                ylo = max(ylo, -(-t // aj))
+            elif aj < 0:
+                yhi = min(yhi, t // aj)
+            elif t > 0:
+                yhi = ylo - 1
+            if ylo > yhi:
+                break
+        else:
+            if j == last:
+                count += yhi - ylo + 1
+                continue
+            for y in range(ylo, yhi + 1):
+                nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
                 stack.append((j + 1, nxt))
     return count
 

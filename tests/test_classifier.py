@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -130,6 +131,35 @@ class TestPredictedCorrespondence:
         self._trade_two_images(monkeypatch)
         with pytest.raises(InternalConsistencyError, match=self.VIOLATED):
             decompose_join(simplex(r))
+
+
+class TestDecompositionChecks:
+    """A decomposition whose k or defect does not fit P's dimension is an
+    internal error that names the polytope."""
+
+    @staticmethod
+    def _altered(monkeypatch, **changes):
+        real = classifier._try_subset
+
+        def altered(P, J, k):
+            dec = real(P, J, k)
+            return dec and dataclasses.replace(dec, **changes)
+
+        monkeypatch.setattr(classifier, "_try_subset", altered)
+
+    def test_k_outside_range(self, monkeypatch):
+        self._altered(monkeypatch, k=1)
+        outside = "join parameter outside classified range"
+        with pytest.raises(InternalConsistencyError, match=outside) as err:
+            decompose_join(simplex(3))
+        assert "(polytope simplex(3), face (0, 1, 2, 3))" in str(err.value)
+
+    def test_defect_inconsistent_with_k(self, monkeypatch):
+        self._altered(monkeypatch, defect=0)
+        square = json.dumps(simplex(2).to_dict()).encode()
+        code, out = run(CliConfig(command="classify"), square)
+        assert code == 3
+        assert b"defect value inconsistent with k (polytope simplex(2)" in out
 
 
 class TestClassify:

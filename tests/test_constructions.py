@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import comb, factorial
 
 import pytest
@@ -18,6 +19,8 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
+from polyinv import linalg as la
+from polyinv.cli import CliConfig, run
 from polyinv.constructions import _generated
 from polyinv.errors import DomainError, InternalConsistencyError
 
@@ -261,6 +264,25 @@ class TestProjectiveJoin:
         # k = 2 with square fibers gives r = 4, below the classified range
         J = projective_join([cube(2, 1)] * 3)
         assert c(J) > 0
+
+
+class TestSpanTransportCheck:
+    """Summands whose span directions agree have one span lattice, so a
+    non-unimodular transport between their bases is an internal error
+    (exit 3), not a domain error about the input."""
+
+    def test_internal_error_names_the_summand(self, monkeypatch):
+        monkeypatch.setattr(la, "is_unimodular", lambda M: False)
+        with pytest.raises(InternalConsistencyError, match="not unimodular") as err:
+            JoinSpec.build([segment(2, name="short"), segment(3)])
+        assert "(polytope short, face (0, 1))" in str(err.value)
+
+    def test_classify_exits_3(self, monkeypatch):
+        prism = json.dumps(product(simplex(2), cube(1, 1)).to_dict()).encode()
+        monkeypatch.setattr(la, "is_unimodular", lambda M: False)
+        code, out = run(CliConfig(command="classify"), prism)
+        assert code == 3
+        assert b"span lattice transport is not unimodular (polytope" in out
 
 
 class TestGeneratedVertexCheck:

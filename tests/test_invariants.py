@@ -308,6 +308,12 @@ class TestNamedErrors:
         assert "c_star != c on Delzant input" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out
 
+    def test_report_leading_coefficient(self, monkeypatch):
+        monkeypatch.setattr(invariants, "f_polynomial", lambda P: [0, 0, 7])
+        out = self._run(CliConfig(command="invariants"))
+        assert "report has d_r != c" in out
+        assert "polytope unit-square, face (0, 1, 2, 3)" in out
+
     def test_ehrhart_direct_count(self, monkeypatch):
         count = volumes.lattice_points
         monkeypatch.setattr(

@@ -310,18 +310,28 @@ class TestStructuralEhrhartChecks:
 
 
 class TestCountInOwnModel:
-    """`lattice_points` (the interval scan in P's own model) against the
-    per-face normalized box scan it replaced and, where cheap, against
-    hull membership of every point of the dilated bounding box."""
+    """`lattice_points` (the carrier table of one scan of nP in P's own
+    model) against the per-face interval scan it replaced, the per-face
+    normalized box scan before that and, where cheap, hull membership of
+    every point of the dilated bounding box."""
+
+    @staticmethod
+    def _check(P):
+        for f in P.face_lattice():
+            for n in (1, 2, 3):
+                got = lattice_points(f, n)
+                assert got == oracles.interval_scan_count(P, f, n), (
+                    P.name, f.vertex_ids, n
+                )
+                assert got == oracles.face_model_scan_count(P, f, n), (
+                    P.name, f.vertex_ids, n
+                )
 
     def test_corpora(self, small_corpus, join_corpus):
         for P in small_corpus + [J for J, _k, _r in join_corpus]:
-            for f in P.face_lattice():
-                for n in (1, 2, 3):
-                    assert lattice_points(f, n) == oracles.face_model_scan_count(
-                        P, f, n
-                    ), (P.name, f.vertex_ids, n)
-                if P.ambient_dim <= 3:
+            self._check(P)
+            if P.ambient_dim <= 3:
+                for f in P.face_lattice():
                     assert lattice_points(f, 2) == oracles.box_count(f.vertices, 2)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
@@ -333,11 +343,40 @@ class TestCountInOwnModel:
             [tuple(sum(u * x for u, x in zip(row, p)) + s for row, s in zip(U, t))
              for p in pts]
         )
-        for f in P.face_lattice():
-            for n in (1, 2, 3):
-                assert lattice_points(f, n) == oracles.face_model_scan_count(
-                    P, f, n
-                ), (f.vertex_ids, n)
+        self._check(P)
+
+    def test_polytope_alone_is_a_plain_scan(self, small_corpus):
+        # P asked first runs the scan without credits; a proper face then
+        # builds the table, whose carriers add up to the same total
+        for P in small_corpus:
+            if P.dim < 2:
+                continue  # a vertex is never looked up in the table
+            P = Polytope.from_vertices(P.vertices)
+            total = lattice_points(P, 2)
+            assert ("carriers", 2) not in P._cache
+            lattice_points(P.faces(1)[0], 2)
+            assert sum(P._cache[("carriers", 2)].values()) == total
+
+    def test_tight_set_of_no_face(self):
+        # the unit square at height 7 of Z^3 with facets A, B, C, D, where
+        # C is opposite A and D meets C: C' = C + D moved one step outward
+        # cuts the corner of C and D, and the point 2v of 2P, v the vertex
+        # on A and D, becomes tight on A, C' and D, the facets of no face
+        P = Polytope.from_vertices(
+            [(3, 7, 2), (4, 7, 2), (3, 7, 3), (4, 7, 3)], name="square"
+        )
+        facets, incidence = list(P._nfacets), P._incidence
+        c = 0
+        a = next(j for j, t in enumerate(incidence) if not t & incidence[c])
+        d = next(j for j in range(1, 4) if j != a)
+        (ac, bc), (ad, bd) = facets[c], facets[d]
+        facets[c] = (tuple(x + y for x, y in zip(ac, ad)), bc + bd + 1)
+        P._nfacets = tuple(facets)
+        v = P.vertices[(incidence[a] & incidence[d]).bit_length() - 1]
+        with pytest.raises(InternalConsistencyError, match="tight on the facets of no face") as err:
+            lattice_points(P.faces(1)[0], 2)
+        assert f"point {tuple(2 * x for x in v)} of 2P" in str(err.value)
+        assert "(polytope square, face (0, 1, 2, 3))" in str(err.value)
 
 
 def _volume_sums(P):

@@ -46,7 +46,7 @@ from .linalg import (
     primitive,
 )
 from .polytope import Face, Polytope
-from .volumes import EhrhartData, ehrhart, lattice_points, normalized_volume, volume
+from .volumes import lattice_points, normalized_volume, volume
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "AffineNormalization",
     "ClassificationReport",
     "DomainError",
-    "EhrhartData",
     "Face",
     "InternalConsistencyError",
     "InvariantReport",
@@ -71,7 +70,6 @@ __all__ = [
     "cube",
     "decompose_join",
     "dual_degree",
-    "ehrhart",
     "eulerian",
     "f_polynomial",
     "f_value",

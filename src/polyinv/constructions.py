@@ -12,8 +12,8 @@ i at the vertex e_i of a unimodular k-simplex in k extra coordinates
 (e_0 = 0) and takes the convex hull; the result has dimension m + k.
 Summands must be strongly isomorphic: equal normal fans under a shared
 normalization of their (parallel) affine spans. That is stronger than
-sharing a combinatorial type, and it is what makes the vertex matching
-canonical.
+sharing a combinatorial type: it matches the summands' vertices one to
+one by their normal cones.
 """
 
 from __future__ import annotations
@@ -104,13 +104,10 @@ class JoinSpec:
 
     `summands` are polytopes of one common ambient space, equal dimension
     and parallel affine spans, with identical normal fans under the shared
-    span normalization. `vertex_matching` lists, for each summand, its
-    vertices ordered so that position j corresponds to the same maximal
-    normal cone across all summands.
+    span normalization.
     """
 
     summands: tuple[Polytope, ...]
-    vertex_matching: tuple[tuple[tuple[int, ...], ...], ...]
 
     @classmethod
     def build(cls, summands: Sequence[Polytope]) -> "JoinSpec":
@@ -139,7 +136,6 @@ class JoinSpec:
                         "summands not strongly isomorphic: affine spans differ"
                     )
             if m == 0:
-                cones_per_summand.append({frozenset(): P.vertices[0]})
                 continue
             # transport P's facet normals into the shared coordinates
             T = la.mat_mul([list(r) for r in A], la.transpose([list(w) for w in P._norm.basis]))
@@ -149,18 +145,18 @@ class JoinSpec:
                 )
             TinvT = la.transpose(la.unimodular_inverse(T))
             normals = [tuple(la.mat_vec(TinvT, a)) for a, _ in P._nfacets]
-            # vertex -> maximal cone key
-            cone_map = {}
-            for vid, v in enumerate(P.vertices):
+            # each vertex's maximal cone, keyed by its facet normals
+            cones = set()
+            for vid in range(len(P.vertices)):
                 key = frozenset(
                     a for a, tight in zip(normals, P._incidence) if tight >> vid & 1
                 )
-                if key in cone_map:
+                if key in cones:
                     raise DomainError(
                         "summands not strongly isomorphic: repeated normal cone"
                     )
-                cone_map[key] = v
-            cones_per_summand.append(cone_map)
+                cones.add(key)
+            cones_per_summand.append(cones)
             if len(set(normals)) != len(normals):
                 raise DomainError(
                     "summands not strongly isomorphic: repeated facet normal"
@@ -174,18 +170,12 @@ class JoinSpec:
                     raise DomainError(
                         "summands not strongly isomorphic: facet normals differ"
                     )
-            ref_cones = set(cones_per_summand[0])
-            for cm in cones_per_summand[1:]:
-                if set(cm) != ref_cones:
+            for cones in cones_per_summand[1:]:
+                if cones != cones_per_summand[0]:
                     raise DomainError(
                         "summands not strongly isomorphic: normal fans differ"
                     )
-
-        cone_order = sorted(cones_per_summand[0].keys(), key=sorted)
-        matching = tuple(
-            tuple(cm[key] for key in cone_order) for cm in cones_per_summand
-        )
-        return cls(summands=summands, vertex_matching=matching)
+        return cls(summands=summands)
 
 
 def projective_join(

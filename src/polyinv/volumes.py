@@ -1,4 +1,4 @@
-"""Lattice-normalized volumes, lattice point counts and Ehrhart data.
+"""Lattice-normalized volumes, lattice point counts and Ehrhart polynomials.
 
 The normalized volume nvol(F) of a k-dimensional face is k! times the
 Lebesgue measure of the face after normalizing its span lattice to Z^k;
@@ -35,14 +35,13 @@ length. For a proper face the scan credits each point to its carrier,
 the smallest face containing it, whose facet mask is the point's tight
 set; L_F(n) is then the sum of the interior counts L°_G(n) over the
 faces G <= F. P alone is the same scan without credits. No floating
-point, no approximation. `ehrhart` interpolates such direct counts, so
-it is independent of the structural route.
+point, no approximation. The CLI command `ehrhart` checks
+`ehrhart_polynomial` against such direct counts.
 """
 
 from __future__ import annotations
 
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence, Union
@@ -307,27 +306,6 @@ def _scan(P: Polytope, n: int, credit: bool):
     return table if credit else count
 
 
-@dataclass(frozen=True)
-class EhrhartData:
-    """Exact lattice point counting polynomial of a face.
-
-    `samples` maps each sampled dilation (including the forced value 1 at
-    n = 0) to its exact count; `polynomial` lists rational coefficients in
-    ascending degree order, degree = dim of the face. The constant term is
-    1 and the leading coefficient equals Vol(face).
-    """
-
-    face: Face
-    samples: dict[int, int]
-    polynomial: tuple[Fraction, ...]
-
-    def evaluate(self, n: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.polynomial):
-            acc = acc * n + c
-        return acc
-
-
 def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
     """Coefficients (ascending) of the unique polynomial of degree
     < len(points) through the given integer points, by Newton's divided
@@ -349,34 +327,3 @@ def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
         new[0] += divided[i]
         coeffs = new
     return coeffs
-
-
-def ehrhart(face: FaceLike) -> EhrhartData:
-    """Ehrhart data of a face: exact counts at n = 0 .. dim+1 and the
-    interpolated counting polynomial, cross-checked for degree."""
-    face = _as_face(face)
-    d = face.dim
-    samples = {0: 1}
-    for n in range(1, d + 2):
-        samples[n] = lattice_points(face, n)
-    pts = sorted(samples.items())
-    coeffs = interpolate(pts)
-    # the fit has degree <= d+1 through d+2 points; the top coefficient
-    # must vanish for a genuine counting polynomial of degree d
-    if len(coeffs) == d + 2:
-        if coeffs[d + 1] != 0:
-            raise broken_identity(
-                "lattice counts are not polynomial of the face dimension", face
-            )
-        coeffs = coeffs[: d + 1]
-    data = EhrhartData(face=face, samples=samples, polynomial=tuple(coeffs))
-    if data.polynomial[0] != 1:
-        raise broken_identity("Ehrhart constant term is not 1", face)
-    if data.polynomial[-1] != volume(face):
-        raise broken_identity(
-            "Ehrhart leading coefficient differs from the volume", face
-        )
-    for n, c in samples.items():
-        if data.evaluate(n) != c:
-            raise broken_identity("Ehrhart polynomial misses a sample", face)
-    return data

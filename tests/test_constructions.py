@@ -237,12 +237,6 @@ class TestProjectiveJoin:
         J = projective_join([a, b])
         assert unimodular_equivalent(J, projective_join([a, a]))
 
-    def test_matching_is_fan_aligned(self):
-        spec = JoinSpec.build([segment(2), segment(3)])
-        m0, m1 = spec.vertex_matching
-        # matched vertices share the normal cone: min with min, max with max
-        assert (m0[0] == (0,)) == (m1[0] == (0,))
-
     def test_defect_vanishing_for_joins_in_range(self, join_corpus):
         for J, k, r in join_corpus:
             if k >= max(2, (r + 1) / 2):

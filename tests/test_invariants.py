@@ -285,8 +285,8 @@ class TestNoHang:
 
 
 class TestNamedErrors:
-    """The identity checks of c_star, report and `ehrhart --dilations`
-    name the polytope; through the CLI they exit with code 3."""
+    """The identity checks of c_star, report and `ehrhart` name the
+    polytope; through the CLI they exit with code 3."""
 
     DOC = {"name": "unit-square", "ambient_dim": 2,
            "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
@@ -322,6 +322,17 @@ class TestNamedErrors:
         out = self._run(CliConfig(command="ehrhart", dilation_max=5))
         assert "Ehrhart polynomial disagrees with a direct count" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out
+
+    def test_ehrhart_polynomial_checked(self, monkeypatch):
+        # 1 + 3n + n^2 in place of (n + 1)^2 = 1 + 2n + n^2
+        poly = volumes.ehrhart_polynomial
+        monkeypatch.setattr(
+            volumes, "ehrhart_polynomial",
+            lambda f: tuple(cf + (j == 1) for j, cf in enumerate(poly(f))),
+        )
+        out = self._run(CliConfig(command="ehrhart", dilation_max=1))
+        assert "Ehrhart polynomial disagrees with a direct count" in out
+        assert "polytope unit-square" in out
 
 
 class TestDualDegree:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from polyinv import (
     Polytope,
     cube,
-    ehrhart,
     hypersimplex,
     lattice_points,
     mult,
@@ -16,8 +16,9 @@ from polyinv import (
     simplex,
     volume,
 )
+from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError
-from polyinv.volumes import ehrhart_polynomial
+from polyinv.volumes import ehrhart_polynomial, interpolate
 
 import oracles
 from conftest import UNIMODULAR_TRANSFORMS, hull_inputs
@@ -147,47 +148,61 @@ class TestLatticePoints:
                 assert lattice_points(f, 2) == oracles.box_count(f.vertices, 2)
 
 
+def counted_ehrhart(f):
+    """L_F through the direct counts at n = 0..k + 1, k = dim F, whose
+    degree-(k + 1) coefficient must vanish."""
+    k = f.dim
+    samples = [(0, 1)] + [(n, lattice_points(f, n)) for n in range(1, k + 2)]
+    coeffs = interpolate(samples)
+    assert coeffs[k + 1] == 0, (f.owner.name, f.vertex_ids)
+    return tuple(coeffs[: k + 1])
+
+
+def evaluate(polynomial, n):
+    return sum(cf * n**j for j, cf in enumerate(polynomial))
+
+
 class TestEhrhart:
+    """`ehrhart_polynomial` against the polynomial through direct counts."""
+
     def test_segment(self):
         P = Polytope.from_vertices([(0,), (2,)])
-        data = ehrhart(P)
-        assert data.polynomial == (Fraction(1), Fraction(2))
+        assert ehrhart_polynomial(P) == counted_ehrhart(P) == (1, 2)
 
     def test_triangle(self):
-        data = ehrhart(simplex(2))
         # (n+1)(n+2)/2
-        assert data.polynomial == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+        poly = (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+        assert ehrhart_polynomial(simplex(2)) == counted_ehrhart(simplex(2)) == poly
         for n in (3, 4):
-            assert data.evaluate(n) == lattice_points(simplex(2), n)
+            assert evaluate(poly, n) == lattice_points(simplex(2), n)
 
     def test_unit_cube_3(self):
-        data = ehrhart(cube(3, 1))
-        assert data.polynomial == (
-            Fraction(1),
-            Fraction(3),
-            Fraction(3),
-            Fraction(1),
-        )
+        poly = ehrhart_polynomial(cube(3, 1))
+        assert poly == counted_ehrhart(cube(3, 1)) == (1, 3, 3, 1)
 
     def test_samples_include_forced_origin(self):
-        data = ehrhart(simplex(3))
-        assert data.samples[0] == 1
+        doc = json.dumps(simplex(3).to_dict()).encode()
+        code, out = run(CliConfig(command="ehrhart"), doc)
+        assert code == 0, out
+        assert json.loads(out)["samples"]["0"] == 1
 
     def test_leading_coefficient_is_volume(self, small_corpus):
         for P in small_corpus:
             if P.dim > 3 and len(P.vertices) > 10:
                 continue
-            data = ehrhart(P)
-            assert data.polynomial[-1] == volume(P)
-            assert data.polynomial[0] == 1
+            poly = ehrhart_polynomial(P)
+            assert poly == counted_ehrhart(P), P.name
+            assert poly[-1] == volume(P)
+            assert poly[0] == 1
 
     def test_two_extra_dilations(self, small_corpus):
         for P in small_corpus:
             if P.dim > 3:
                 continue
-            data = ehrhart(P)
+            poly = counted_ehrhart(P)
+            assert ehrhart_polynomial(P) == poly, P.name
             for n in (P.dim + 2, P.dim + 3):
-                assert data.evaluate(n) == lattice_points(P, n), P.name
+                assert evaluate(poly, n) == lattice_points(P, n), P.name
 
 
 class TestPick:
@@ -236,12 +251,12 @@ def unimodular_maps(draw, m):
 
 class TestStructuralEhrhart:
     """`ehrhart_polynomial` (volumes, reciprocity and a few counts)
-    against `ehrhart` (interpolated direct counts) and its symmetries."""
+    against the polynomial through direct counts and its symmetries."""
 
     def test_matches_direct_counts(self, small_corpus):
         for P in small_corpus:
             for f in P.face_lattice():
-                assert ehrhart_polynomial(f) == ehrhart(f).polynomial, (
+                assert ehrhart_polynomial(f) == counted_ehrhart(f), (
                     P.name,
                     f.vertex_ids,
                 )

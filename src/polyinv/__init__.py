@@ -12,7 +12,7 @@ from .classifier import (
     is_defect_polytope,
 )
 from .constructions import (
-    JoinSpec,
+    check_strongly_isomorphic,
     cube,
     eulerian,
     hypersimplex,
@@ -58,7 +58,6 @@ __all__ = [
     "InternalConsistencyError",
     "InvariantReport",
     "JoinDecomposition",
-    "JoinSpec",
     "NotSimpleError",
     "Polytope",
     "PolyinvError",
@@ -66,6 +65,7 @@ __all__ = [
     "c",
     "c_star",
     "c_t",
+    "check_strongly_isomorphic",
     "classify",
     "cube",
     "decompose_join",

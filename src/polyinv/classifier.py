@@ -12,14 +12,18 @@ every k from r down. The unimodular r-simplex is the case k = r, whose
 fibers are its vertices. In a join over the k-simplex, the facet pulled
 back from the i-th facet of the simplex contains every vertex of P but
 those of fiber i (Dickenstein, Di Rocco & Piene 2009). So the candidates
-are the facets whose vertex complement is an (r-k)-face, and a subset
-of k+1 of them is tried only when its complements are disjoint and
-cover every vertex (an exact cover). A subset passes when its primitive
-facet normals sum to zero and span a saturated rank-k lattice, the
-projection they give maps P onto the standard unimodular k-simplex, and
-the vertex fibers are (r-k)-dimensional, Delzant and strongly
-isomorphic. The decomposition predicts where each vertex of P lands in
-the projective join of the fibers (its fiber coordinates followed by
+are the facets whose vertex complement is an (r-k)-face, and a subset of
+k+1 of them is tried only when its complements are disjoint and cover
+every vertex (an exact cover). The projection read off the last k facets
+of the subset must map the vertices of P onto those of the standard
+unimodular k-simplex. That images test decides, and it implies the rest
+of the join's linear algebra: the rows then map Z^r onto Z^k, so they
+have rank k and span a saturated lattice, and the first facet of the
+subset is tight exactly where the coordinates sum to 1, so its primitive
+normal is minus the sum of theirs. The vertex fibers must then be
+(r-k)-dimensional, Delzant and strongly isomorphic in their shared
+Hermite model. The decomposition predicts where each vertex of P lands
+in the projective join of the fibers (its fiber coordinates followed by
 its simplex vertex); those images are the join's vertices by
 construction, so the join is not rebuilt. The unimodular map fixed by
 that correspondence is solved and checked on every vertex
@@ -37,7 +41,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg as la
-from .constructions import JoinSpec
+from .constructions import check_strongly_isomorphic
 from .equivalence import paired_unimodular_map
 from .errors import DomainError, broken_identity
 from .invariants import c, c_star, dual_degree
@@ -156,15 +160,6 @@ def _certified(P, images, proj_rows, shift) -> bool:
 
 def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     r = P.dim
-    normals = [P._nfacets[j][0] for j in J]
-    if any(sum(a[i] for a in normals) != 0 for i in range(r)):
-        return None
-    rows = [list(a) for a in normals]
-    if la.rank(rows) != k:
-        return None
-    if la.lattice_index(rows[1:]) != 1:
-        return None
-
     proj_rows = [P._nfacets[j][0] for j in J[1:]]
     shift = tuple(-P._nfacets[j][1] for j in J[1:])
     images = [
@@ -181,8 +176,8 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     fiber_vids = [groups[img] for img in _standard_simplex_vertices(k)]
 
     # shared normalization of the fiber spans: every fiber's differences
-    # lie in the kernel of the k projection rows (rank k, checked above),
-    # which fiber 0, an (r - k)-face there, spans
+    # lie in the kernel of the k projection rows (rank k, as they map the
+    # vertices onto the simplex), which fiber 0, an (r - k)-face there, spans
     norm0 = la.affine_normalize([P._nverts[i] for i in fiber_vids[0]])
     fibers = []
     # where each vertex lands in the join of the fibers: its fiber
@@ -204,7 +199,7 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
             join_images[vid] = x + e_i
 
     try:
-        JoinSpec.build(fibers)  # the fibers are strongly isomorphic
+        check_strongly_isomorphic(fibers)
     except DomainError:
         return None
     if not _certified(P, join_images, proj_rows, shift):

@@ -10,20 +10,21 @@ says is a vertex.
 The projective join of m-dimensional polytopes P_0 .. P_k places summand
 i at the vertex e_i of a unimodular k-simplex in k extra coordinates
 (e_0 = 0) and takes the convex hull; the result has dimension m + k.
-Summands must be strongly isomorphic: equal normal fans under a shared
-normalization of their (parallel) affine spans. That is stronger than
-sharing a combinatorial type: it matches the summands' vertices one to
-one by their normal cones.
+Summands must be strongly isomorphic: equal normal fans in the shared
+Hermite model of their (parallel) affine spans. Parallel spans have one
+saturated direction lattice, whose row Hermite form is unique, so every
+summand's facet normals already live in the same coordinates and are
+compared as they are. That is stronger than sharing a combinatorial
+type: it matches the summands' vertices one to one by their normal
+cones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 from typing import Optional, Sequence
 
-from . import linalg as la
 from .errors import DomainError, broken_identity
 from .polytope import Polytope
 
@@ -98,94 +99,48 @@ def eulerian(n: int, j: int) -> int:
 # projective joins
 
 
-@dataclass(frozen=True)
-class JoinSpec:
-    """Validated summand data for a projective join.
+def check_strongly_isomorphic(summands: Sequence[Polytope]) -> None:
+    """Raise DomainError unless the summands are strongly isomorphic.
 
-    `summands` are polytopes of one common ambient space, equal dimension
-    and parallel affine spans, with identical normal fans under the shared
-    span normalization.
+    The summands must share ambient and intrinsic dimension, and their
+    affine spans must be parallel. The row Hermite form of a lattice is
+    unique, so parallel spans have one `_norm.basis` and one model map.
+    Their facet normals can therefore be compared as they are. Then the
+    normal fans, each a set of per-vertex facet masks, must agree; facets
+    are sorted by normal, so equal normals give one bit order.
     """
-
-    summands: tuple[Polytope, ...]
-
-    @classmethod
-    def build(cls, summands: Sequence[Polytope]) -> "JoinSpec":
-        summands = tuple(summands)
-        if not summands:
-            raise DomainError("a join needs at least one summand")
-        P0 = summands[0]
-        m = P0.dim
-        ambient = P0.ambient_dim
-        for P in summands:
-            if P.ambient_dim != ambient or P.dim != m:
-                raise DomainError(
-                    "summands not strongly isomorphic: "
-                    "ambient or intrinsic dimensions differ"
-                )
-        W0 = [list(w) for w in P0._norm.basis]
-        A = P0._norm.matrix
-
-        cones_per_summand = []
-        normal_sets = []
-        for P in summands:
-            # the span directions must agree with summand 0's
-            for w in P._norm.basis:
-                if la.rank(W0 + [list(w)]) != m:
-                    raise DomainError(
-                        "summands not strongly isomorphic: affine spans differ"
-                    )
-            if m == 0:
-                continue
-            # transport P's facet normals into the shared coordinates
-            T = la.mat_mul([list(r) for r in A], la.transpose([list(w) for w in P._norm.basis]))
-            if not la.is_unimodular(T):  # W = U W0, U unimodular: T = U^T
-                raise broken_identity(
-                    "span lattice transport is not unimodular", P.top_face()
-                )
-            TinvT = la.transpose(la.unimodular_inverse(T))
-            normals = [tuple(la.mat_vec(TinvT, a)) for a, _ in P._nfacets]
-            # each vertex's maximal cone, keyed by its facet normals
-            cones = set()
-            for vid in range(len(P.vertices)):
-                key = frozenset(
-                    a for a, tight in zip(normals, P._incidence) if tight >> vid & 1
-                )
-                if key in cones:
-                    raise DomainError(
-                        "summands not strongly isomorphic: repeated normal cone"
-                    )
-                cones.add(key)
-            cones_per_summand.append(cones)
-            if len(set(normals)) != len(normals):
-                raise DomainError(
-                    "summands not strongly isomorphic: repeated facet normal"
-                )
-            normal_sets.append(frozenset(normals))
-
-        if m > 0:
-            ref = normal_sets[0]
-            for s in normal_sets[1:]:
-                if s != ref:
-                    raise DomainError(
-                        "summands not strongly isomorphic: facet normals differ"
-                    )
-            for cones in cones_per_summand[1:]:
-                if cones != cones_per_summand[0]:
-                    raise DomainError(
-                        "summands not strongly isomorphic: normal fans differ"
-                    )
-        return cls(summands=summands)
+    if not summands:
+        raise DomainError("a join needs at least one summand")
+    P0 = summands[0]
+    if any(P.ambient_dim != P0.ambient_dim or P.dim != P0.dim for P in summands):
+        raise DomainError(
+            "summands not strongly isomorphic: ambient or intrinsic dimensions differ"
+        )
+    if any(P._norm.basis != P0._norm.basis for P in summands):
+        raise DomainError("summands not strongly isomorphic: affine spans differ")
+    normals = [[a for a, _ in P._nfacets] for P in summands]
+    if any(ns != normals[0] for ns in normals):
+        raise DomainError("summands not strongly isomorphic: facet normals differ")
+    fans = [
+        {
+            sum(1 << j for j, tight in enumerate(P._incidence) if tight >> vid & 1)
+            for vid in range(P.n_vertices)
+        }
+        for P in summands
+    ]
+    if any(fan != fans[0] for fan in fans):
+        raise DomainError("summands not strongly isomorphic: normal fans differ")
 
 
 def projective_join(
-    spec: JoinSpec | Sequence[Polytope], name: Optional[str] = None
+    summands: Sequence[Polytope], name: Optional[str] = None
 ) -> Polytope:
     """The projective join of the summands: each P_i embedded at height
-    e_i of a unimodular simplex in k extra coordinates, then the hull."""
-    if not isinstance(spec, JoinSpec):
-        spec = JoinSpec.build(spec)
-    summands = spec.summands
+    e_i of a unimodular simplex in k extra coordinates, then the hull.
+    The summands are compared in their shared Hermite model first
+    (`check_strongly_isomorphic`)."""
+    summands = tuple(summands)
+    check_strongly_isomorphic(summands)
     k = len(summands) - 1
     verts = [
         v + tuple(1 if t == i - 1 else 0 for t in range(k))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
+from polyinv import linalg as la
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError
 
@@ -74,8 +76,6 @@ class TestDecomposeJoin:
     def test_projection_maps_onto_standard_simplex(self):
         prism = product(simplex(2), cube(1, 1))
         dec = decompose_join(prism)
-        import polyinv.linalg as la
-
         images = {
             tuple(
                 la.dot(row, v) + s
@@ -102,6 +102,48 @@ class TestDecomposeJoin:
             for f in dec.fibers:
                 assert f.is_delzant()
                 assert f.dim == r - dec.k
+
+
+class TestImagesTestImpliesTheLinearChecks:
+    """`_try_subset` decides on the images of the vertices alone. Whenever
+    the last k facets of an exact-cover subset map the vertices onto the
+    standard k-simplex, the k+1 primitive normals sum to zero, have rank k,
+    and the last k span a saturated lattice."""
+
+    @staticmethod
+    def _onto_simplex(P):
+        """(k, normals) for every exact-cover subset `decompose_join` would
+        try on P whose projection maps the vertices onto the k-simplex."""
+        r = P.dim
+        full = (1 << P.n_vertices) - 1
+        dim_of = {f.mask: f.dim for f in P.face_lattice()}
+        complements = [full & ~t for t in P._incidence]
+        for k in range(r, classifier._k_min(r) - 1, -1):
+            simplex_vertices = set(classifier._standard_simplex_vertices(k))
+            candidates = [
+                j for j, m in enumerate(complements) if dim_of.get(m) == r - k
+            ]
+            for J in itertools.combinations(candidates, k + 1):
+                if not classifier._exact_cover([complements[j] for j in J], full):
+                    continue
+                facets = [P._nfacets[j] for j in J]
+                images = {
+                    tuple(la.dot(a, v) - b for a, b in facets[1:]) for v in P._nverts
+                }
+                if images == simplex_vertices:
+                    yield k, [a for a, _ in facets]
+
+    def test_corpora(self, join_corpus, small_corpus):
+        defect = [J for J, _, _ in join_corpus]
+        defect += [P for P in small_corpus if P.dim >= 2 and is_defect_polytope(P)]
+        seen = 0
+        for P in defect:
+            for k, normals in self._onto_simplex(P):
+                seen += 1
+                assert all(sum(column) == 0 for column in zip(*normals)), P.name
+                assert la.rank(normals) == k, P.name
+                assert la.lattice_index(normals[1:]) == 1, P.name
+        assert seen >= len(defect)
 
 
 class TestPredictedCorrespondence:

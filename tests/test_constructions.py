@@ -5,7 +5,6 @@ from math import comb, factorial
 import pytest
 
 from polyinv import (
-    JoinSpec,
     Polytope,
     c,
     cube,
@@ -19,7 +18,6 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
-from polyinv import linalg as la
 from polyinv.cli import CliConfig, run
 from polyinv.constructions import _generated
 from polyinv.errors import DomainError, InternalConsistencyError
@@ -212,11 +210,30 @@ class TestProjectiveJoin:
         J = projective_join([segment(2)])
         assert J.vertices == segment(2).vertices
 
-    def test_rejects_mismatched_summands(self):
+    def test_rejects_mismatched_summands(self, tmp_path):
         with pytest.raises(DomainError, match="strongly isomorphic"):
             projective_join([segment(1), cube(2, 1)])
         with pytest.raises(DomainError, match="strongly isomorphic"):
             projective_join([simplex(2), cube(2, 1)])
+        # the same five facet normals, but a prism (6, 9, 5, 1) and a
+        # square pyramid (5, 8, 5, 1): only the normal fans tell them apart
+        prism = Polytope.from_vertices(
+            [(0, 1, 1), (0, 1, 2), (1, 1, 0), (1, 1, 2), (2, 2, 0), (2, 2, 2)]
+        )
+        pyramid = Polytope.from_vertices(
+            [(0, 0, 2), (1, 0, 1), (1, 0, 2), (2, 1, 1), (2, 1, 2)]
+        )
+        assert [a for a, _ in prism._nfacets] == [a for a, _ in pyramid._nfacets]
+        message = "summands not strongly isomorphic: normal fans differ"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            projective_join([prism, pyramid])
+        paths = []
+        for name, P in (("prism", prism), ("pyramid", pyramid)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(P.to_dict()))
+            paths.append(str(path))
+        code, out = run(CliConfig(command="join", summands=tuple(paths)))
+        assert (code, out) == (2, f"error: {message}\n".encode())
 
     def test_rejects_nonparallel_spans(self):
         a = Polytope.from_vertices([(0, 0), (1, 0)])
@@ -258,25 +275,6 @@ class TestProjectiveJoin:
         # k = 2 with square fibers gives r = 4, below the classified range
         J = projective_join([cube(2, 1)] * 3)
         assert c(J) > 0
-
-
-class TestSpanTransportCheck:
-    """Summands whose span directions agree have one span lattice, so a
-    non-unimodular transport between their bases is an internal error
-    (exit 3), not a domain error about the input."""
-
-    def test_internal_error_names_the_summand(self, monkeypatch):
-        monkeypatch.setattr(la, "is_unimodular", lambda M: False)
-        with pytest.raises(InternalConsistencyError, match="not unimodular") as err:
-            JoinSpec.build([segment(2, name="short"), segment(3)])
-        assert "(polytope short, face (0, 1))" in str(err.value)
-
-    def test_classify_exits_3(self, monkeypatch):
-        prism = json.dumps(product(simplex(2), cube(1, 1)).to_dict()).encode()
-        monkeypatch.setattr(la, "is_unimodular", lambda M: False)
-        code, out = run(CliConfig(command="classify"), prism)
-        assert code == 3
-        assert b"span lattice transport is not unimodular (polytope" in out
 
 
 class TestGeneratedVertexCheck:

@@ -462,18 +462,26 @@ class TestNamedNormalizationErrors:
 
 
 @st.composite
-def span_inputs(draw, n, r):
-    """Point sets in Z^n of affine rank r (now and then less): r + 1 to
-    r + 3 points of [-3, 3]^r lifted by an integer n x r matrix, its
-    diagonal raised by 1..3 so that it is often not saturated, and
-    translated, with repeated points."""
-    k = draw(st.integers(r + 1, r + 3))
-    coord = st.integers(-3, 3)
-    local = draw(st.lists(st.tuples(*[coord] * r), min_size=k, max_size=k))
+def span_lift(draw, n, r):
+    """An integer n x r matrix, its diagonal raised by 1..3 so that it is
+    often not saturated."""
     entry = st.integers(-2, 2)
     lift = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n))
     for i in range(r):
         lift[i][i] += draw(st.integers(1, 3))
+    return lift
+
+
+@st.composite
+def span_inputs(draw, n, r, lift=None):
+    """Point sets in Z^n of affine rank r (now and then less): r + 1 to
+    r + 3 points of [-3, 3]^r lifted by `lift` (drawn by `span_lift`
+    when not given) and translated, with repeated points."""
+    k = draw(st.integers(r + 1, r + 3))
+    coord = st.integers(-3, 3)
+    local = draw(st.lists(st.tuples(*[coord] * r), min_size=k, max_size=k))
+    if lift is None:
+        lift = draw(span_lift(n, r))
     shift = draw(st.tuples(*[st.integers(-5, 5)] * n))
     pts = [
         tuple(s + sum(a * x for a, x in zip(row, p)) for row, s in zip(lift, shift))
@@ -486,7 +494,8 @@ def span_inputs(draw, n, r):
 class TestHermiteOnlyNormalization:
     """The HNF-only `affine_normalize` against the Smith-form route it
     replaced: the same base, dimension and basis. `matrix` may differ on
-    lower-dimensional spans; it must be a left inverse of the basis."""
+    lower-dimensional spans; it must be a left inverse of the basis.
+    Parallel spans must get one basis and one matrix."""
 
     @pytest.mark.parametrize(
         "n,r", [(n, r) for n in range(1, 7) for r in range(n + 1)]
@@ -503,3 +512,18 @@ class TestHermiteOnlyNormalization:
         assert product == la.identity(norm.dim)
         for p in pts:
             assert norm.backward(norm.forward(p)) == p
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(2, 7) for r in range(1, n)]
+    )
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_parallel_spans_share_the_model(self, n, r, data):
+        # parallel spans have one saturated direction lattice, whose row
+        # Hermite form is unique: one basis and one model map for both
+        lift = data.draw(span_lift(n, r))
+        pts = data.draw(span_inputs(n, r, lift))
+        qts = data.draw(span_inputs(n, r, lift))
+        if oracles.affine_dim(pts) == oracles.affine_dim(qts) == r:
+            a, b = la.affine_normalize(pts), la.affine_normalize(qts)
+            assert (a.basis, a.matrix) == (b.basis, b.matrix)

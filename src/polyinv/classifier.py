@@ -112,7 +112,7 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
         return None
     r = P.dim
     full = (1 << len(P.vertices)) - 1
-    dim_of = {f.mask: f.dim for f in P.face_lattice()}
+    dim_of = P._lattice().dims
     complements = [full & ~t for t in P._incidence]
     for k in range(r, _k_min(r) - 1, -1):
         candidates = [j for j, m in enumerate(complements) if dim_of.get(m) == r - k]

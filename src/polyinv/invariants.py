@@ -74,8 +74,8 @@ def _volume_sums(P: Polytope) -> list[int]:
     per polytope."""
     if "nvol_sums" not in P._cache:
         sums = [0] * (P.dim + 1)
-        for f in reversed(P.face_lattice()):  # P first: its recursion cuts most bases
-            sums[f.dim] += vol.normalized_volume(f)
+        for s, k in reversed(P._lattice().dims.items()):  # P first: it cuts most bases
+            sums[k] += vol._nvol(P, s)
         P._cache["nvol_sums"] = sums
     return P._cache["nvol_sums"]
 
@@ -86,25 +86,30 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
     The number of lattice points in the half-open parallelotope spanned
     by the primitive inward normals of the facets containing the face;
     1 for the polytope itself, and 1 for every face iff P is Delzant.
-    Read from one top-down pass over the face lattice: a facet G of a
-    face F adds one facet normal a_t, and mult(G) = mult(F) * g, where g
-    is the content of a_t on the direction lattice of F.
     """
     if not P.is_simple():
         raise NotSimpleError("multiplicity defined only for simple polytopes")
-    if isinstance(face, Polytope):
-        face = face.top_face()
-    if face.owner is not P:
+    owner, s = vol._located(face)
+    if owner is not P:
         raise DomainError("face does not belong to this polytope")
+    return _mults(P)[s]
+
+
+def _mults(P: Polytope) -> dict[int, int]:
+    """Face mask -> multiplicity, from one top-down pass over the face
+    lattice: a facet G of a face F adds one facet normal a_t, and
+    mult(G) = mult(F) * g, where g is the content of a_t on the direction
+    lattice of F."""
     if "mult" not in P._cache:
         out = {}
-        for f in reversed(P.face_lattice()):  # each face after its parents
-            m = out.setdefault(f.mask, 1)  # only P itself is unset here
-            for child in P.face_children(f):
-                if child.mask not in out:
-                    out[child.mask] = m * P._content(f, child)[0]
+        lattice = P._lattice()
+        for s in reversed(lattice.dims):  # each face after its parents
+            m = out.setdefault(s, 1)  # only P itself is unset here
+            for c in lattice.children[s]:
+                if c not in out:
+                    out[c] = m * P._content(s, c)[0]
         P._cache["mult"] = out
-    return P._cache["mult"][face.mask]
+    return P._cache["mult"]
 
 
 def c_star(P: Polytope) -> Fraction:
@@ -118,10 +123,10 @@ def c_star(P: Polytope) -> Fraction:
     """
     if not P.is_simple():
         raise NotSimpleError("c_star defined only for simple polytopes")
-    r = P.dim
+    r, mults = P.dim, _mults(P)
     sums: Counter[int] = Counter()  # integer face terms, summed by multiplicity
-    for f in P.face_lattice():
-        sums[mult(P, f)] += (-1) ** (r - f.dim) * (f.dim + 1) * vol.normalized_volume(f)
+    for s, k in P._lattice().dims.items():
+        sums[mults[s]] += (-1) ** (r - k) * (k + 1) * vol._nvol(P, s)
     total = sum((Fraction(s, m) for m, s in sums.items()), Fraction(0))
     if P.is_delzant() and total != c(P):
         raise broken_identity("c_star differs from c on a Delzant input", P.top_face())
@@ -135,10 +140,9 @@ def f_polynomial(P: Polytope) -> list[int]:
     r = P.dim
     scaled = vol.scaled_ehrhart(P)
     total = [0] * (r + 1)
-    for f in P.face_lattice():
-        k = f.dim
+    for s, k in P._lattice().dims.items():
         w = (-1) ** (r - k) * factorial(k + 1)
-        for j, a in enumerate(scaled[f.mask]):
+        for j, a in enumerate(scaled[s]):
             total[j + r - k] += w * a
     out = []
     for i, t in enumerate(total):

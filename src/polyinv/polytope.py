@@ -25,24 +25,31 @@ intersections of its vertex mask with the facets of P not containing it.
 A face's dimension is its level in that pass. Each level is sorted once
 and stored, so `faces(k)` reads one level, and each face's children are
 filled in level order from the parents that the pass records. A face is
-its vertex mask (`Face.mask`), which keys every per-face map and cache.
+its vertex mask, which keys every per-face map. Caches hold ints only; a
+`Face` is made where the public API hands one out, so no cache points
+back at its polytope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
-from .errors import DomainError, broken_identity
+from .errors import DomainError, InternalConsistencyError, broken_identity
 
 Point = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
+# The face lattice as ints: each dimension's face masks sorted by vertex ids;
+# mask -> child masks in level order; mask -> facet mask; mask -> dimension,
+# in `face_lattice` order; mask -> the mask of the first parent found.
+_Lattice = namedtuple("_Lattice", "levels children facets dims parent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Face:
     """A nonempty face of a polytope.
 
@@ -50,13 +57,23 @@ class Face:
     vertex i lies on it; bit j of `facet_mask` is set iff facet j contains
     it (none for the polytope itself). `vertex_ids` and `facet_ids` decode
     them into sorted ids. Dimension is the face's level in the graded face
-    lattice, which equals the affine dimension of its vertex set.
+    lattice, which equals the affine dimension of its vertex set. Faces
+    are made afresh on each call from the owner's int-only lattice; two
+    are equal iff their masks and their owners are.
     """
 
-    owner: "Polytope" = field(compare=False, repr=False)
+    owner: "Polytope"
     mask: int
-    facet_mask: int = field(compare=False)
-    dim: int = field(compare=False)
+    facet_mask: int
+    dim: int
+
+    def __eq__(self, other):
+        return isinstance(other, Face) and self.mask == other.mask and (
+            self.owner is other.owner or self.owner == other.owner
+        )
+
+    def __hash__(self):
+        return hash(self.mask)
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
@@ -166,16 +183,10 @@ class Polytope:
         """
         if "facets" not in self._cache:
             out = []
-            A = self._norm.matrix
             for (a, _b), tight in zip(self._nfacets, self._incidence):
-                raw = tuple(
-                    sum(A[i][j] * a[i] for i in range(self.dim))
-                    for j in range(self.ambient_dim)
-                )
-                amb = la.primitive(raw)
+                amb = la.primitive([la.dot(col, a) for col in zip(*self._norm.matrix)])
                 v = self.vertices[(tight & -tight).bit_length() - 1]
-                off = la.dot(amb, v)
-                out.append((amb, off))
+                out.append((amb, la.dot(amb, v)))
             self._cache["facets"] = tuple(out)
         return self._cache["facets"]
 
@@ -183,22 +194,16 @@ class Polytope:
     def span_equations(self) -> tuple[Halfspace, ...]:
         """Equations <c, x> = value describing the affine span."""
         if "span_eq" not in self._cache:
-            basis = [list(w) for w in self._norm.basis]
-            if not basis:
-                kers = la.kernel_basis([[0] * self.ambient_dim])
-            else:
-                kers = la.kernel_basis(basis)
-            out = []
-            for c in kers:
-                c = la.primitive(c)
-                out.append((c, la.dot(c, self._norm.base)))
-            self._cache["span_eq"] = tuple(sorted(out))
+            basis = [list(w) for w in self._norm.basis] or [[0] * self.ambient_dim]
+            kers = map(la.primitive, la.kernel_basis(basis))
+            self._cache["span_eq"] = tuple(
+                sorted((c, la.dot(c, self._norm.base)) for c in kers)
+            )
         return self._cache["span_eq"]
 
     @property
     def f_vector(self) -> tuple[int, ...]:
-        self.face_lattice()
-        return tuple(map(len, self._cache["levels"]))
+        return tuple(map(len, self._lattice().levels))
 
     def __eq__(self, other):
         return (
@@ -221,31 +226,43 @@ class Polytope:
 
     def face_lattice(self) -> tuple[Face, ...]:
         """All nonempty faces, graded by dimension, including P itself."""
-        if "faces" not in self._cache:
-            levels, self._cache["children"], parent = self._build_face_lattice()
-            self._cache["levels"], self._cache["parent"] = levels, parent
-            self._cache["faces"] = sum(levels, ())
-            self._cache["bases"] = {}
-        return self._cache["faces"]
+        return tuple(map(self._face, self._lattice().dims))
 
-    def _build_face_lattice(self):
-        """(the faces of each dimension 0..dim sorted by vertex ids,
-        face mask -> children, face mask -> first parent).
+    def _lattice(self) -> _Lattice:
+        """The face lattice as ints, built once (`_build_face_lattice`)."""
+        if "lattice" not in self._cache:
+            self._cache["lattice"] = self._build_face_lattice()
+        return self._cache["lattice"]
+
+    def _face(self, mask: int) -> Face:
+        """A fresh `Face` for the face with vertex mask `mask`."""
+        lattice = self._lattice()
+        return Face(self, mask, lattice.facets[mask], lattice.dims[mask])
+
+    def _broken(self, identity: str, mask: int) -> InternalConsistencyError:
+        """`broken_identity` on the face with vertex mask `mask`."""
+        return broken_identity(identity, self._face(mask))
+
+    def _build_face_lattice(self) -> _Lattice:
+        """The face lattice in five int-only maps (`_Lattice`).
 
         Built top down on int bitmasks over the vertex ids, one level per
         dimension. The facets of a face F are the inclusion-maximal
         nonempty cuts F & t over the facet incidences t that do not
         contain F, and the facets of P containing such a child are those
         of F plus the t that cut it, kept as a mask of facet ids. Faces
-        record their parents; the sorted levels fill children in level order.
+        record their parents; the sorted levels fill children in level
+        order. A `Face` is made only to name one in an error.
         """
         incidence, d, n = self._incidence, self.dim, len(self.vertices)
         top = (1 << n) - 1
-        on = sum(1 << j for j, t in enumerate(incidence) if t & top == top)
-        top_face = Face(self, top, on, d)
-        if on:
-            raise broken_identity("the top face lies on a facet", top_face)
-        by_mask, parents, first = {top: top_face}, {top: []}, {}
+        facets, level_of, parents, first = {top: 0}, {top: d}, {top: []}, {}
+
+        def broken(identity: str, c: int = top) -> InternalConsistencyError:
+            return broken_identity(identity, Face(self, c, facets[c], level_of[c]))
+
+        if any(t & top == top for t in incidence):
+            raise broken("the top face lies on a facet")
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
         levels = [[top]]
         for level in levels:
@@ -265,15 +282,13 @@ class Polytope:
                     else:
                         kids.append(c)
                 for c in kids:
-                    if c not in by_mask:
-                        first[c] = up = by_mask[s]
-                        on = up.facet_mask | cuts[c]
-                        by_mask[c], parents[c] = Face(self, c, on, dim), []
+                    if c not in level_of:
+                        first[c], facets[c] = s, facets[s] | cuts[c]
+                        level_of[c], parents[c] = dim, []
                         below.append(c)
-                    elif by_mask[c].dim != dim:
-                        raise broken_identity(
-                            "face appears at two levels of the face lattice", by_mask[c]
-                        )
+                    elif level_of[c] != dim:
+                        what = "face appears at two levels of the face lattice"
+                        raise broken(what, c)
                     parents[c].append(s)
             if below:
                 levels.append(below)
@@ -281,48 +296,45 @@ class Polytope:
         # guardrails: these hold for every polytope and catch a wrong or
         # incomplete facet description at first use
         if len(levels) != d + 1 or sorted(levels[-1]) != [1 << i for i in range(n)]:
-            raise broken_identity("vertex missing from face lattice", top_face)
+            raise broken("vertex missing from face lattice")
         if sum((-1) ** (d - i) * len(level) for i, level in enumerate(levels)) != 1:
-            raise broken_identity("Euler relation failed", top_face)
+            raise broken("Euler relation failed")
 
         # faces of one level are never nested, so their order by vertex ids
         # is the descending order of their mask bits read from vertex 0 up
-        graded = [
-            sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True) for level in levels
-        ]
-        children: dict[int, list[Face]] = {m: [] for m in by_mask}
-        for level in reversed(graded):
+        graded = tuple(
+            tuple(sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True))
+            for level in reversed(levels)
+        )
+        children: dict[int, list[int]] = {m: [] for m in level_of}
+        for level in graded:
             for c in level:
                 for s in parents[c]:
-                    children[s].append(by_mask[c])
-        levels = tuple(tuple(map(by_mask.get, level)) for level in reversed(graded))
-        return levels, {m: tuple(kids) for m, kids in children.items()}, first
+                    children[s].append(c)
+        dims = {m: k for k, level in enumerate(graded) for m in level}
+        children = {m: tuple(kids) for m, kids in children.items()}
+        return _Lattice(graded, children, facets, dims, first)
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
-        if k < 0 or k > self.dim:
-            return ()
-        self.face_lattice()
-        return self._cache["levels"][k]
+        levels = self._lattice().levels
+        return tuple(map(self._face, levels[k] if 0 <= k <= self.dim else ()))
 
     def top_face(self) -> Face:
-        return self.faces(self.dim)[0]
+        return self._face(self._lattice().levels[-1][0])
 
     def face_children(self, face: Face) -> tuple[Face, ...]:
         """Faces of dimension face.dim - 1 contained in `face`, sorted by
         vertex ids."""
-        if "children" not in self._cache:
-            self.face_lattice()
-        return self._cache["children"][face.mask]
+        return tuple(map(self._face, self._lattice().children[face.mask]))
 
     def edge_graph(self) -> dict[int, tuple[int, ...]]:
         """Vertex id -> sorted ids of neighbors along edges."""
         if "edges" not in self._cache:
             adj = [0] * len(self.vertices)
-            for e in self.faces(1):
-                u, v = e.vertex_ids
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+            for e in self._lattice().levels[1] if self.dim else ():
+                for u in _ids(e):
+                    adj[u] |= e ^ 1 << u
             self._cache["edges"] = dict(enumerate(map(_ids, adj)))
         return self._cache["edges"]
 
@@ -342,21 +354,12 @@ class Polytope:
         basis of the span lattice (determinant +-1 in the normalized model).
         """
         if "delzant" not in self._cache:
-            self._cache["delzant"] = self._compute_delzant()
+            nv = self._nverts
+            self._cache["delzant"] = self.is_simple() and all(
+                abs(la.det([la.primitive(la.vec_sub(nv[w], nv[v])) for w in nbrs])) == 1
+                for v, nbrs in self.edge_graph().items()
+            )
         return self._cache["delzant"]
-
-    def _compute_delzant(self) -> bool:
-        if not self.is_simple():
-            return False
-        g = self.edge_graph()
-        for v, nbrs in g.items():
-            dirs = [
-                list(la.primitive(la.vec_sub(self._nverts[w], self._nverts[v])))
-                for w in nbrs
-            ]
-            if abs(la.det(dirs)) != 1:
-                return False
-        return True
 
     # -- transformations ---------------------------------------------------
 
@@ -398,33 +401,34 @@ class Polytope:
 
     # -- direction lattices (used by volumes and multiplicities) ----------
 
-    def _content(self, face: Face, child: Face) -> tuple[int, int]:
-        """(g, t) for a facet `child` of `face`: t is the lowest facet of P
-        through the child and not the face, and g >= 1 the content of its
-        normal a_t on the face's direction lattice lin(F) cap Z^dim.
+    def _content(self, s: int, c: int) -> tuple[int, int]:
+        """(g, t) for a facet c of the face s, both vertex masks: t is the
+        lowest facet of P through c and not s, and g >= 1 the content of
+        its normal a_t on the face's direction lattice lin(s) cap Z^dim.
 
-        Each face keeps one basis of its lattice. A basis vector c is
-        stored as its values A c on the facet normals, so a_t . c is its
+        Each face keeps one basis of its lattice. A basis vector v is
+        stored as its values A v on the facet normals, so a_t . v is its
         entry t, and `linalg.cut_basis` at t gives g and a basis of the
         child's lattice, kept if the child has none yet. P's basis is
         I_dim (the columns of A); a face that no cut has reached yet is
         cut from its first parent.
         """
-        bases = self._cache["bases"]
-        if face.mask not in bases:
-            if face.facet_mask:
-                self._content(self._cache["parent"][face.mask], face)
+        lattice, bases = self._lattice(), self._cache.setdefault("bases", {})
+        facets = lattice.facets
+        if s not in bases:
+            if facets[s]:
+                self._content(lattice.parent[s], s)
             else:
-                bases[face.mask] = list(zip(*(a for a, _ in self._nfacets)))
-        new = child.facet_mask & ~face.facet_mask
+                bases[s] = list(zip(*(a for a, _ in self._nfacets)))
+        new = facets[c] & ~facets[s]
         t = (new & -new).bit_length() - 1
-        basis = bases[face.mask]
-        if child.mask in bases:
-            g = gcd(*[c[t] for c in basis])
+        basis = bases[s]
+        if c in bases:
+            g = gcd(*[v[t] for v in basis])
         else:
-            g, bases[child.mask] = la.cut_basis(basis, t)
+            g, bases[c] = la.cut_basis(basis, t)
         if g < 1:
-            raise broken_identity(f"facet {t} is constant on the face", face)
+            raise self._broken(f"facet {t} is constant on the face", s)
         return g, t
 
     # -- serialization ------------------------------------------------------
@@ -481,23 +485,15 @@ def _ids(mask: int) -> tuple[int, ...]:
 
 
 def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
-    pts = []
-    seen = set()
-    n = None
-    for p in points:
-        t = tuple(p)
+    pts = [tuple(p) for p in points]
+    for t in pts:
         if any(not isinstance(c, int) or isinstance(c, bool) for c in t):
             raise DomainError("vertices must have integer coordinates")
-        if n is None:
-            n = len(t)
-        elif len(t) != n:
+        if len(t) != len(pts[0]):
             raise DomainError("vertices must share one ambient dimension")
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
     if not pts:
         raise DomainError("a polytope needs at least one vertex")
-    return pts
+    return list(dict.fromkeys(pts))
 
 
 def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:

@@ -53,51 +53,52 @@ from .polytope import Face, Polytope
 FaceLike = Union[Face, Polytope]
 
 
-def _as_face(obj: FaceLike) -> Face:
+def _located(obj: FaceLike) -> tuple[Polytope, int]:
+    """(owner, vertex mask) of a face; a polytope stands for its top face."""
     if isinstance(obj, Polytope):
-        return obj.top_face()
-    return obj
+        return obj, (1 << obj.n_vertices) - 1
+    return obj.owner, obj.mask
 
 
 def normalized_volume(face: FaceLike) -> int:
     """nvol(F) = dim(F)! * Vol(F), an exact nonnegative integer."""
-    face = _as_face(face)
-    return _nvol(face.owner, face)
+    return _nvol(*_located(face))
 
 
-def _nvol(P: Polytope, face: Face) -> int:
-    """nvol(F), memoized: the pyramids from F's first vertex v over the
-    facets G of F that avoid v add h_G * nvol(G), where h_G is the lattice
-    height of v over G in lin(F) cap Z^dim."""
-    key = ("nvol", face.mask)
-    if key not in P._cache:
-        low = face.mask & -face.mask  # vertices are lex sorted
+def _nvol(P: Polytope, s: int) -> int:
+    """nvol(F) of the face F with vertex mask s, memoized: the pyramids from
+    F's first vertex v over the facets G of F that avoid v add h_G * nvol(G),
+    where h_G is the lattice height of v over G in lin(F) cap Z^dim."""
+    nvol = P._cache.setdefault("nvol", {})
+    if s not in nvol:
+        lattice = P._lattice()
+        low = s & -s  # vertices are lex sorted
         v = P._nverts[low.bit_length() - 1]
-        total = 0 if face.dim else 1
-        for child in P.face_children(face):
-            if child.mask & low:
+        total = 0 if lattice.dims[s] else 1
+        for c in lattice.children[s]:
+            if c & low:
                 continue
-            g, t = P._content(face, child)
+            g, t = P._content(s, c)
             a, b = P._nfacets[t]
             h, rem = divmod(la.dot(a, v) - b, g)
             if rem or h < 1:
                 what = "not an integer" if rem else "not positive"
-                raise broken_identity(
+                raise P._broken(
                     f"height of the first vertex over the facet"
-                    f" {child.vertex_ids} is {what}",
-                    face,
+                    f" {P._face(c).vertex_ids} is {what}",
+                    s,
                 )
-            total += h * _nvol(P, child)
+            total += h * _nvol(P, c)
         if total <= 0:
-            raise broken_identity("face has nonpositive volume", face)
-        P._cache[key] = total
-    return P._cache[key]
+            raise P._broken("face has nonpositive volume", s)
+        nvol[s] = total
+    return nvol[s]
 
 
 def volume(face: FaceLike) -> Fraction:
     """Lattice volume Vol(F) = nvol(F) / dim(F)! as an exact rational."""
-    face = _as_face(face)
-    return Fraction(normalized_volume(face), factorial(face.dim))
+    P, s = _located(face)
+    return Fraction(_nvol(P, s), factorial(P._lattice().dims[s]))
 
 
 def lattice_points(face: FaceLike, n: int) -> int:
@@ -106,20 +107,23 @@ def lattice_points(face: FaceLike, n: int) -> int:
     per n; P alone is a plain scan of nP unless that table exists."""
     if n < 1:
         raise DomainError("dilation must be a positive integer")
-    face = _as_face(face)
-    P = face.owner
-    key = ("count", face.mask, n)
+    return _count(*_located(face), n)
+
+
+def _count(P: Polytope, s: int, n: int) -> int:
+    """`lattice_points` of the face with vertex mask s."""
+    key = ("count", s, n)
     if key not in P._cache:
+        lattice = P._lattice()
         table = P._cache.get(("carriers", n))
-        if face.dim == 0:
+        if lattice.dims[s] == 0:
             P._cache[key] = 1
-        elif table is None and not face.facet_mask:
+        elif table is None and not lattice.facets[s]:
             P._cache[key] = _scan(P, n, credit=False)
         else:
             if table is None:
                 table = P._cache[("carriers", n)] = _scan(P, n, credit=True)
-            below = _below(P)[face.mask]
-            P._cache[key] = table[face.mask] + sum(map(table.__getitem__, below))
+            P._cache[key] = table[s] + sum(map(table.__getitem__, _below(P)[s]))
     return P._cache[key]
 
 
@@ -127,22 +131,22 @@ def _below(P: Polytope) -> dict[int, tuple[int, ...]]:
     """Face mask -> the masks of the face's proper faces."""
     if "below" not in P._cache:
         below = P._cache["below"] = {}
-        for face in P.face_lattice():  # sorted by dimension
+        lattice = P._lattice()
+        for s in lattice.dims:  # sorted by dimension
             sub = set()
-            for child in P.face_children(face):
-                sub.add(child.mask)
-                sub.update(below[child.mask])
-            below[face.mask] = tuple(sub)  # lives with P: a quarter of a set's size
+            for c in lattice.children[s]:
+                sub.add(c)
+                sub.update(below[c])
+            below[s] = tuple(sub)  # lives with P: a quarter of a set's size
     return P._cache["below"]
 
 
 def ehrhart_polynomial(face: FaceLike) -> tuple[Fraction, ...]:
     """Coefficients c_0 .. c_k (ascending) of L_F(n) = |nF cap Z^ambient|
     for a k-face F, from `scaled_ehrhart` of its polytope."""
-    face = _as_face(face)
-    P = face.owner
+    P, s = _located(face)
     scale = factorial(P.dim)
-    return tuple(Fraction(a, scale) for a in scaled_ehrhart(P)[face.mask])
+    return tuple(Fraction(a, scale) for a in scaled_ehrhart(P)[s])
 
 
 def scaled_ehrhart(P: Polytope) -> dict[int, tuple[int, ...]]:
@@ -162,53 +166,51 @@ def scaled_ehrhart(P: Polytope) -> dict[int, tuple[int, ...]]:
         out: dict[int, tuple[int, ...]] = {}
         below = _below(P)
         interior: dict[int, list[int]] = {}  # face mask -> scaled L° coefficients
-        for face in P.face_lattice():  # sorted by dimension
-            k = face.dim
+        for s, k in P._lattice().dims.items():  # sorted by dimension
             boundary = [0] * k
-            for g in below[face.mask]:
+            for g in below[s]:
                 for j, a in enumerate(interior[g]):
                     boundary[j] += a
-            coeffs = _face_ehrhart(face, boundary, scale)
-            out[face.mask] = coeffs
-            interior[face.mask] = [(-1) ** (k + j) * a for j, a in enumerate(coeffs)]
+            coeffs = _face_ehrhart(P, s, k, boundary, scale)
+            out[s] = coeffs
+            interior[s] = [(-1) ** (k + j) * a for j, a in enumerate(coeffs)]
         P._cache["ehrhart"] = out
     return P._cache["ehrhart"]
 
 
-def _face_ehrhart(face: Face, boundary: list[int], scale: int) -> tuple[int, ...]:
-    """Scaled coefficients of L_F from the scaled boundary sum B (see
-    `scaled_ehrhart`), the volume and the counts reciprocity leaves open,
-    with every identity checked that these data must satisfy."""
-    k = face.dim
+def _face_ehrhart(
+    P: Polytope, s: int, k: int, boundary: list[int], scale: int
+) -> tuple[int, ...]:
+    """Scaled coefficients of L_F for the k-face with vertex mask s, from
+    the scaled boundary sum B (see `scaled_ehrhart`), the volume and the
+    counts reciprocity leaves open, with every identity checked that these
+    data must satisfy."""
     coeffs = [0] * (k + 1)
     for j, b in enumerate(boundary):
         if (k - j) % 2:
             half, odd = divmod(b, 2)
             if odd:
-                raise broken_identity(
-                    f"{scale} * Ehrhart c_{j} is not an integer", face
-                )
+                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
             coeffs[j] = half
         elif b:
-            raise broken_identity(
-                f"reciprocity fails: the boundary sum has a degree-{j} term", face
+            raise P._broken(
+                f"reciprocity fails: the boundary sum has a degree-{j} term", s
             )
     if k % 2:
         if coeffs[0] != scale:
-            raise broken_identity(
-                "Ehrhart constant term is not 1 (Euler relation on the boundary)",
-                face,
+            raise P._broken(
+                "Ehrhart constant term is not 1 (Euler relation on the boundary)", s
             )
     else:
         coeffs[0] = scale
-    coeffs[k] = normalized_volume(face) * (scale // factorial(k))
+    coeffs[k] = _nvol(P, s) * (scale // factorial(k))
     if k > 0:
         # c_{k-1} = (1/2) sum of Vol(G) over the facets G, with the facet
         # volumes read afresh rather than from the boundary sum
-        facets = sum(normalized_volume(g) for g in face.owner.face_children(face))
+        facets = sum(_nvol(P, c) for c in P._lattice().children[s])
         if 2 * coeffs[k - 1] != facets * (scale // factorial(k - 1)):
-            raise broken_identity(
-                f"Ehrhart c_{k - 1} differs from half the facet volumes", face
+            raise P._broken(
+                f"Ehrhart c_{k - 1} differs from half the facet volumes", s
             )
 
     unknown = range(2 - k % 2, k - 1, 2)
@@ -218,15 +220,13 @@ def _face_ehrhart(face: Face, boundary: list[int], scale: int) -> tuple[int, ...
         j0 = unknown[0]
         points = []
         for n in range(1, len(unknown) + 1):
-            rest = scale * lattice_points(face, n) - sum(
+            rest = scale * _count(P, s, n) - sum(
                 a * n**j for j, a in enumerate(coeffs)
             )
             points.append((n * n, Fraction(rest, n**j0)))
         for j, cf in zip(unknown, interpolate(points)):
             if cf.denominator != 1:
-                raise broken_identity(
-                    f"{scale} * Ehrhart c_{j} is not an integer", face
-                )
+                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
             coeffs[j] = int(cf)
     return tuple(coeffs)
 
@@ -252,7 +252,7 @@ def _scan(P: Polytope, n: int, credit: bool):
         for j in range(d - 1, -1, -1):
             sufmax[j] = sufmax[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
         systems.append((a, n * b, sufmax))
-    carrier = {f.facet_mask: f.mask for f in P.face_lattice()} if credit else {}
+    carrier = {f: s for s, f in P._lattice().facets.items()} if credit else {}
     table = dict.fromkeys(carrier.values(), 0)
     bits = [1 << i for i in range(len(systems))]
 

@@ -297,7 +297,10 @@ class TestNamedErrors:
         return out.decode()
 
     def test_c_star_differs_from_c(self, monkeypatch):
-        monkeypatch.setattr(invariants, "mult", lambda P, f: 1 + (f.dim == 0))
+        monkeypatch.setattr(
+            invariants, "_mults",
+            lambda P: {s: 1 + (k == 0) for s, k in P._lattice().dims.items()},
+        )
         out = self._run(CliConfig(command="invariants"))
         assert "c_star differs from c on a Delzant input" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out

@@ -1,13 +1,16 @@
+import gc
 import itertools
 import time
+import weakref
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyinv import Polytope, cube, hypersimplex, simplex
+from polyinv import Polytope, classifier, cube, hypersimplex, invariants, simplex
 from polyinv import linalg as la
+from polyinv import volumes
 from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.polytope import _clean_points, _start_cone
 
@@ -160,6 +163,57 @@ def assert_graded_lattice(P):
             if g.dim == f.dim - 1 and set(g.vertex_ids) <= set(f.vertex_ids)
         )
         assert P.face_children(f) == expected, (P.name, f.vertex_ids)
+
+
+class TestFaceIdentity:
+    """Faces are made afresh on each call; two are equal iff their masks
+    and their owners are."""
+
+    def test_faces_of_different_polytopes_differ(self):
+        # the segments (0,0)-(0,2) and (0,0)-(0,1), both with vertex ids (0, 1)
+        f, g = cube(2, 2).faces(1)[0], simplex(2).faces(1)[0]
+        assert f.mask == g.mask
+        assert f != g
+        assert len({f, g}) == 2
+
+    def test_two_calls_give_equal_faces(self):
+        P = hypersimplex(2, 4)
+        f, g = P.faces(1)[0], P.faces(1)[0]
+        assert f is not g
+        assert f == g and hash(f) == hash(g)
+        assert P.face_lattice() == P.face_lattice()
+
+    def test_equal_owners_give_equal_faces(self):
+        f = cube(3, 1).faces(2)[1]
+        g = cube(3, 1).faces(2)[1]
+        assert f.owner is not g.owner
+        assert f == g and hash(f) == hash(g)
+
+
+class TestFreedByRefcount:
+    """No cache of a polytope points back at it, so dropping the last
+    reference frees it without the cyclic collector."""
+
+    def test_dead_after_every_command(self, join_corpus):
+        corpus = [cube(3, 1), hypersimplex(2, 4)]
+        # a fresh copy: the session fixture keeps its own members alive
+        corpus.append(Polytope.from_vertices(join_corpus[5][0].vertices))
+        gc.collect()
+        gc.disable()
+        try:
+            refs = []
+            while corpus:
+                P = corpus.pop()
+                P.f_vector
+                volumes.normalized_volume(P)
+                volumes.lattice_points(P, 1)
+                invariants.report(P)
+                classifier.classify(P)
+                refs.append(weakref.ref(P))
+                del P
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 class TestFaceLatticeGuardrails:

@@ -300,7 +300,7 @@ class TestStructuralEhrhartChecks:
     def test_constant_term_of_an_odd_face(self):
         P = cube(2, 1)
         edge = P.faces(1)[0]
-        children = P._cache["children"]
+        children = P._lattice().children
         children[edge.mask] = children[edge.mask][:1]
         with pytest.raises(InternalConsistencyError, match="constant term is not 1"):
             ehrhart_polynomial(P)
@@ -308,15 +308,15 @@ class TestStructuralEhrhartChecks:
     def test_facet_volume_identity(self):
         P = cube(2, 1)
         top = P.top_face()
-        children = P._cache["children"]
-        children[top.mask] += (P.faces(0)[0],)  # a vertex posing as a facet
+        children = P._lattice().children
+        children[top.mask] += (P.faces(0)[0].mask,)  # a vertex posing as a facet
         with pytest.raises(InternalConsistencyError, match="half the facet volumes"):
             ehrhart_polynomial(P)
 
     def test_reciprocity(self):
         P = cube(2, 1)
         top = P.top_face()
-        children = P._cache["children"]
+        children = P._lattice().children
         children[top.mask] = children[top.mask][1:]
         with pytest.raises(InternalConsistencyError, match="reciprocity") as err:
             ehrhart_polynomial(P)

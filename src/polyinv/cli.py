@@ -146,8 +146,8 @@ def _cmd_info(P: Polytope) -> dict:
     doc["normalized_volume"] = vol.normalized_volume(P)
     doc["volume"] = str(vol.volume(P))
     if P.dim <= 2:
-        # L_P(1) from the structural Ehrhart polynomial, which counts nothing
-        # in dimension <= 2
+        # L_P(1) from the Ehrhart polynomial, which counts nothing in
+        # dimension <= 2
         doc["lattice_points"] = int(sum(vol.ehrhart_polynomial(P)))
     else:
         doc["lattice_points"] = vol.lattice_points(P, 1)

@@ -20,13 +20,17 @@ would force integrality needs the jet sheaf to be locally free).
 
 f_polynomial(P) expands
 
-    f(P, n) = sum_k (-n)^(r-k) (k+1)! sum_{F in P(k)} |Z^F cap nF|
+    f(P, n) = sum_k (-n)^(r-k) (k+1)! S_k(n),
+    S_k(n) = sum_{F in P(k)} |Z^F cap nF|,
 
-as a polynomial: each face contributes its Ehrhart polynomial, built
-from volumes and reciprocity (`volumes.scaled_ehrhart`), in integers
-scaled by r!. The coefficients are asserted integral and the leading
-one equals c(P). f_value counts the dilates directly and is the
-independent check of that expansion.
+as a polynomial. Each S_k is one fit (`volumes._fit`, in integers scaled
+by k!) through S_k(0) = f_k, the volume sums and, for k >= 3, the
+carrier tables of nP: S_k(n) credits each point to the k-faces that
+contain its carrier, and S_k(-n) = (-1)^k times the points whose carrier
+is a k-face (reciprocity). No face gets a polynomial of its own. The
+coefficients are asserted integral and the leading one equals c(P).
+f_value counts the dilates directly and is the independent check of
+that expansion.
 """
 
 from __future__ import annotations
@@ -136,24 +140,65 @@ def c_star(P: Polytope) -> Fraction:
 def f_polynomial(P: Polytope) -> list[int]:
     """Coefficients d_0 .. d_r of f(P, n), exact integers, d_r = c(P).
 
-    Face F of dimension k adds (-1)^(r-k) (k+1)! n^(r-k) L_F(n)."""
-    r = P.dim
-    scaled = vol.scaled_ehrhart(P)
-    total = [0] * (r + 1)
-    for s, k in P._lattice().dims.items():
-        w = (-1) ** (r - k) * factorial(k + 1)
-        for j, a in enumerate(scaled[s]):
-            total[j + r - k] += w * a
-    out = []
-    for i, t in enumerate(total):
-        d, rem = divmod(t, factorial(r))  # `scaled` holds r! L_F
-        if rem:
+    S_k, the sum of L_F over the k-faces F, adds (-1)^(r-k) (k+1)! n^(r-k)
+    S_k(n); it is fitted by `volumes._fit` through S_k(0) = f_k, the
+    volume sums and the carrier tables (`_sum_counts`)."""
+    r, lattice = P.dim, P._lattice()
+    lead, facets = [0] * (r + 1), [0] * (r + 1)
+    for s, k in reversed(lattice.dims.items()):  # P first: it cuts most bases
+        lead[k] += vol._nvol(P, s)
+        facets[k] += sum(vol._nvol(P, c) for c in lattice.children[s])
+    counts = _sum_counts(P)
+    top = lattice.levels[-1][0]
+    out = [0] * (r + 1)
+    for k, level in enumerate(lattice.levels):
+        fit = vol._fit(
+            P, top, k, f"Ehrhart sum S_{k}", len(level), lead[k], facets[k],
+            counts.get(k, []),
+        )
+        for j, a in enumerate(fit):  # k! S_k has integer coefficients a
+            out[j + r - k] += (-1) ** (r - k) * (k + 1) * a
+    for i, d in enumerate(out):
+        if d.denominator != 1:
             raise broken_identity(
                 f"f-polynomial coefficient d_{i} is not an integer", P.top_face()
             )
-        out.append(d)
     if out[r] != c(P):
         raise broken_identity("leading f-coefficient differs from c(P)", P.top_face())
+    return out
+
+
+def _sum_counts(P: Polytope) -> dict[int, list[tuple[int, int]]]:
+    """k -> [(S_k(-n), S_k(n)) for n = 1..floor((r - 1)/2)] for k >= 3, from
+    the carrier tables of nP: S_k(n) = sum over G of L°_G(n) times the
+    number of k-faces containing G, and S_k(-n) = (-1)^k times the sum of
+    L°_F(n) over the k-faces F. The containing faces come from one top-down
+    pass of int bitmasks over the indices of the faces of dimension >= 3."""
+    r, lattice = P.dim, P._lattice()
+    if r < 3:
+        return {}
+    # face mask -> one bit for each face of dimension >= 3 containing it;
+    # those faces come first top down, so their bits are 0, 1, 2, ...
+    up: dict[int, int] = {}
+    level_bits = [0] * (r + 1)  # k -> the bits of the k-faces
+    for i, (s, k) in enumerate(reversed(lattice.dims.items())):
+        u = up.get(s, 0)  # each face comes after its parents
+        if k >= 3:
+            u |= 1 << i
+            level_bits[k] |= 1 << i
+        up[s] = u
+        for c in lattice.children[s]:
+            up[c] = up.get(c, 0) | u
+    out: dict[int, list[tuple[int, int]]] = {k: [] for k in range(3, r + 1)}
+    for n in range(1, (r - 1) // 2 + 1):
+        interior, sums = [0] * (r + 1), [0] * (r + 1)
+        for g, count in vol._carriers(P, n).items():
+            u, kg = up[g], lattice.dims[g]
+            interior[kg] += count
+            for k in range(max(kg, 3), r + 1):
+                sums[k] += count * (u & level_bits[k]).bit_count()
+        for k in out:
+            out[k].append(((-1) ** k * interior[k], sums[k]))
     return out
 
 

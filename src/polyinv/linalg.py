@@ -52,15 +52,6 @@ def transpose(M: Sequence[Sequence[int]]) -> Matrix:
     return [[M[i][j] for i in range(len(M))] for j in range(len(M[0]))]
 
 
-def mat_mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
-    if A and B and len(A[0]) != len(B):
-        raise DomainError("matrix shapes do not match")
-    if not B:
-        return [[] for _ in A]
-    cols = range(len(B[0]))
-    return [[sum(a[k] * B[k][j] for k in range(len(a))) for j in cols] for a in A]
-
-
 def mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
 
@@ -237,15 +228,6 @@ def hermite_normal_form(M: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
         if r == m:
             break
     return H, U
-
-
-def unimodular_inverse(M: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(M)
-    H, U = hermite_normal_form(M)
-    if H != identity(n):
-        raise DomainError("matrix is not unimodular")
-    return U
 
 
 def is_unimodular(M: Sequence[Sequence[int]]) -> bool:

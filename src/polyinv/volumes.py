@@ -16,14 +16,17 @@ its direction lattice in P's model (`Polytope._content`), so no face
 needs a coordinate change and no simplex is enumerated; the recursion is
 memoized and visits only the faces that the asked volume needs.
 
-Ehrhart polynomials of all faces come from structure (`scaled_ehrhart`),
-bottom up over the face lattice: Ehrhart-Macdonald reciprocity fixes
-every coefficient of a k-face whose degree has the parity of k - 1 from
-its proper faces, the leading one is the volume, the constant term of
-an even-dimensional face is 1, and the floor((k - 1)/2) coefficients
-left come from counts at n = 1..floor((k - 1)/2) (Macdonald 1971; Beck
-& Robins, "Computing the Continuous Discretely", ch. 4-5). Faces of
-dimension <= 2 are never counted.
+Ehrhart data are read from volumes and the carrier tables of nP alone
+(`_fit`). For a k-face F, L_F(0) = 1, the leading coefficient is the
+volume and the next one is half the facet volumes; for
+n = 1..floor((k - 1)/2) the table of nP gives L_F(n), the sum of the
+interior counts L°_G(n) over the faces G <= F, and by Ehrhart-Macdonald
+reciprocity L_F(-n) = (-1)^k L°_F(n) (Macdonald 1971; Beck & Robins,
+"Computing the Continuous Discretely", ch. 4-5). That fixes L_F, with
+one equation to spare for odd k. Faces of dimension <= 2 are never
+counted, and no face needs the polynomials of its own faces. The same
+fit gives the sums over the k-faces that `invariants.f_polynomial`
+expands.
 
 Lattice counts |nF cap Z^ambient| come from one scan of nP per n in
 P's own model, an affine lattice isomorphism of aff(P) cap Z^ambient
@@ -31,12 +34,12 @@ onto Z^dim, cut out by P's facet inequalities alone (`_scan`). The scan
 of the dilated bounding box fixes one coordinate at a time; the values
 of a coordinate that can still reach a point form an interval, solved
 from the inequalities, and the last coordinate adds its interval's
-length. For a proper face the scan credits each point to its carrier,
-the smallest face containing it, whose facet mask is the point's tight
-set; L_F(n) is then the sum of the interior counts L°_G(n) over the
-faces G <= F. P alone is the same scan without credits. No floating
-point, no approximation. The CLI command `ehrhart` checks
-`ehrhart_polynomial` against such direct counts.
+length. The scan credits each point to its carrier, the smallest face
+containing it, whose facet mask is the point's tight set, and keeps the
+nonzero interior counts L°_G(n). P alone is the same scan without
+credits unless that table exists. No floating point, no approximation.
+The CLI command `ehrhart` checks `ehrhart_polynomial` against such
+direct counts.
 """
 
 from __future__ import annotations
@@ -115,129 +118,97 @@ def _count(P: Polytope, s: int, n: int) -> int:
     key = ("count", s, n)
     if key not in P._cache:
         lattice = P._lattice()
-        table = P._cache.get(("carriers", n))
         if lattice.dims[s] == 0:
             P._cache[key] = 1
-        elif table is None and not lattice.facets[s]:
+        elif ("carriers", n) not in P._cache and not lattice.facets[s]:
             P._cache[key] = _scan(P, n, credit=False)
         else:
-            if table is None:
-                table = P._cache[("carriers", n)] = _scan(P, n, credit=True)
-            P._cache[key] = table[s] + sum(map(table.__getitem__, _below(P)[s]))
+            table = _carriers(P, n)
+            P._cache[key] = sum([c for g, c in table.items() if g & s == g])
     return P._cache[key]
 
 
-def _below(P: Polytope) -> dict[int, tuple[int, ...]]:
-    """Face mask -> the masks of the face's proper faces."""
-    if "below" not in P._cache:
-        below = P._cache["below"] = {}
-        lattice = P._lattice()
-        for s in lattice.dims:  # sorted by dimension
-            sub = set()
-            for c in lattice.children[s]:
-                sub.add(c)
-                sub.update(below[c])
-            below[s] = tuple(sub)  # lives with P: a quarter of a set's size
-    return P._cache["below"]
+def _carriers(P: Polytope, n: int) -> dict[int, int]:
+    """Face mask -> L°_G(n) > 0, the points of nP whose carrier is G; one
+    credit scan per n (`_scan`)."""
+    if ("carriers", n) not in P._cache:
+        P._cache[("carriers", n)] = _scan(P, n, credit=True)
+    return P._cache[("carriers", n)]
 
 
 def ehrhart_polynomial(face: FaceLike) -> tuple[Fraction, ...]:
     """Coefficients c_0 .. c_k (ascending) of L_F(n) = |nF cap Z^ambient|
-    for a k-face F, from `scaled_ehrhart` of its polytope."""
+    for a k-face F, fitted by `_fit` through L_F(0) = 1, the volumes of F
+    and its facets and, for n = 1..floor((k - 1)/2), the count L_F(n) and
+    L_F(-n) = (-1)^k L°_F(n) from the carrier table of nP."""
     P, s = _located(face)
-    scale = factorial(P.dim)
-    return tuple(Fraction(a, scale) for a in scaled_ehrhart(P)[s])
+    lattice = P._lattice()
+    k = lattice.dims[s]
+    values = [
+        ((-1) ** k * _carriers(P, n).get(s, 0), _count(P, s, n))
+        for n in range(1, (k - 1) // 2 + 1)
+    ]
+    facets = sum(_nvol(P, c) for c in lattice.children[s])
+    coeffs = _fit(P, s, k, "Ehrhart", 1, _nvol(P, s), facets, values)
+    return tuple(Fraction(a, factorial(k)) for a in coeffs)
 
 
-def scaled_ehrhart(P: Polytope) -> dict[int, tuple[int, ...]]:
-    """Face mask -> dim(P)! times the Ehrhart coefficients of the face.
+def _fit(
+    P: Polytope, s: int, k: int, what: str, at0: int, lead: int, facets: int,
+    values: list[tuple[int, int]],
+) -> list[int]:
+    """k! times the coefficients c_0 .. c_k (ascending) of the degree-k
+    Ehrhart polynomial L of a k-face, or of a sum of them, from
 
-    k! L_F has integer coefficients for a lattice k-polytope F, so the
-    scaled values are integers. Built bottom up over the face lattice:
-    with L°_G(n) = (-1)^dim G L_G(-n) the relative interior count of G,
-    reciprocity gives L_F(n) - (-1)^k L_F(-n) = B(n), the sum of L°_G
-    over the proper faces G of F. So c_j = B_j / 2 for j of the parity
-    of k - 1, and B_j = 0 for the other j. c_k = Vol(F), c_0 = 1 for
-    even k, and the floor((k - 1)/2) coefficients left are solved from
-    lattice_points(F, n) at n = 1..floor((k - 1)/2).
+    - L(0) = at0, and k! c_k = lead, the normalized volume (at k = 0
+      both fix c_0, and `lead` is kept);
+    - c_{k-1} = half the facet volumes: k! c_{k-1} = k * facets / 2,
+      with `facets` the sum of the facets' normalized volumes;
+    - (L(-n), L(n)) = values[n - 1] for n = 1..floor((k - 1)/2).
+
+    The even and odd parts (L(n) +- L(-n)) / 2 are fitted apart, each in
+    n^2 through n = 0..floor((k - 1)/2) by `interpolate`. For odd k the
+    data fix c_{k-1} twice, and the two must agree; values beyond the
+    fitted ones must be matched. Errors name `what` on the face with
+    vertex mask s.
     """
-    if "ehrhart" not in P._cache:
-        scale = factorial(P.dim)
-        out: dict[int, tuple[int, ...]] = {}
-        below = _below(P)
-        interior: dict[int, list[int]] = {}  # face mask -> scaled L° coefficients
-        for s, k in P._lattice().dims.items():  # sorted by dimension
-            boundary = [0] * k
-            for g in below[s]:
-                for j, a in enumerate(interior[g]):
-                    boundary[j] += a
-            coeffs = _face_ehrhart(P, s, k, boundary, scale)
-            out[s] = coeffs
-            interior[s] = [(-1) ** (k + j) * a for j, a in enumerate(coeffs)]
-        P._cache["ehrhart"] = out
-    return P._cache["ehrhart"]
-
-
-def _face_ehrhart(
-    P: Polytope, s: int, k: int, boundary: list[int], scale: int
-) -> tuple[int, ...]:
-    """Scaled coefficients of L_F for the k-face with vertex mask s, from
-    the scaled boundary sum B (see `scaled_ehrhart`), the volume and the
-    counts reciprocity leaves open, with every identity checked that these
-    data must satisfy."""
+    scale = factorial(k)
     coeffs = [0] * (k + 1)
-    for j, b in enumerate(boundary):
-        if (k - j) % 2:
-            half, odd = divmod(b, 2)
-            if odd:
-                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
-            coeffs[j] = half
-        elif b:
-            raise P._broken(
-                f"reciprocity fails: the boundary sum has a degree-{j} term", s
+    coeffs[0] = scale * at0
+    coeffs[k] = lead
+    if k % 2 == 0 and k:
+        coeffs[k - 1] = k // 2 * facets
+    m = (k - 1) // 2
+    # n^p times the parity-p part, less its known terms, is 2 R(n^2) with
+    # R(x) = sum_i k! c_{2i-p} x^i over i = 1..m, so R(0) = 0
+    for p in (0, 1) if m else ():  # k >= 3: unknown coefficients are left
+        points = [(0, 0)]
+        for n, (down, up) in enumerate(values[:m], 1):
+            rest = scale * (up + (-1) ** p * down) - 2 * sum(
+                a * n**j for j, a in enumerate(coeffs) if j % 2 == p
             )
-    if k % 2:
-        if coeffs[0] != scale:
-            raise P._broken(
-                "Ehrhart constant term is not 1 (Euler relation on the boundary)", s
-            )
-    else:
-        coeffs[0] = scale
-    coeffs[k] = _nvol(P, s) * (scale // factorial(k))
-    if k > 0:
-        # c_{k-1} = (1/2) sum of Vol(G) over the facets G, with the facet
-        # volumes read afresh rather than from the boundary sum
-        facets = sum(_nvol(P, c) for c in P._lattice().children[s])
-        if 2 * coeffs[k - 1] != facets * (scale // factorial(k - 1)):
-            raise P._broken(
-                f"Ehrhart c_{k - 1} differs from half the facet volumes", s
-            )
-
-    unknown = range(2 - k % 2, k - 1, 2)
-    if unknown:
-        # sum_i c_{j0+2i} n^(j0+2i) = rest(n) is a polynomial in n^2 after
-        # dividing by n^j0; interpolate it through n = 1..len(unknown)
-        j0 = unknown[0]
-        points = []
-        for n in range(1, len(unknown) + 1):
-            rest = scale * _count(P, s, n) - sum(
-                a * n**j for j, a in enumerate(coeffs)
-            )
-            points.append((n * n, Fraction(rest, n**j0)))
-        for j, cf in zip(unknown, interpolate(points)):
+            points.append((n * n, n**p * rest))
+        for i, cf in enumerate(interpolate(points)[1:], 1):
+            j, cf = 2 * i - p, cf / 2
             if cf.denominator != 1:
-                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
+                raise P._broken(f"{scale} * {what} c_{j} is not an integer", s)
             coeffs[j] = int(cf)
-    return tuple(coeffs)
+    if k % 2 and 2 * coeffs[k - 1] != k * facets:
+        raise P._broken(f"{what} c_{k - 1} differs from half the facet volumes", s)
+    for n, (down, up) in enumerate(values[m:], m + 1):
+        for x, count in ((-n, down), (n, up)):
+            if sum(a * x**j for j, a in enumerate(coeffs)) != scale * count:
+                raise P._broken(f"{what} misses the count at n = {x}", s)
+    return coeffs
 
 
 def _scan(P: Polytope, n: int, credit: bool):
     """The lattice points of nP in P's model: their number, or with
     `credit` a map from face mask to L°_G(n), the number of them whose
-    carrier is G. Each facet is affine and >= 0 on a leaf's interval, so
-    it is tight inside iff tight at both ends, and a leaf credits at most
-    three carriers. Counting one small proper face at a large n this way
-    scans all of nP."""
+    carrier is G, for the G with L°_G(n) > 0. Each facet is affine and
+    >= 0 on a leaf's interval, so it is tight inside iff tight at both
+    ends, and a leaf credits at most three carriers. Counting one small
+    proper face at a large n this way scans all of nP."""
     d = P.dim
     lo, hi = la.bounding_box(P._nverts)
     # the widest coordinate goes last, where it costs one interval
@@ -253,7 +224,7 @@ def _scan(P: Polytope, n: int, credit: bool):
             sufmax[j] = sufmax[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
         systems.append((a, n * b, sufmax))
     carrier = {f: s for s, f in P._lattice().facets.items()} if credit else {}
-    table = dict.fromkeys(carrier.values(), 0)
+    table: dict[int, int] = {}
     bits = [1 << i for i in range(len(systems))]
 
     def add(tight: int, prefix: tuple, y: int, points: int) -> None:
@@ -263,7 +234,8 @@ def _scan(P: Polytope, n: int, credit: bool):
                            [(n - 1) * c for c in P._norm.base])
             raise broken_identity(f"the point {x} of {n}P is tight on the"
                                   " facets of no face", P.top_face())
-        table[carrier[tight]] += points
+        g = carrier[tight]
+        table[g] = table.get(g, 0) + points
 
     # coordinate-by-coordinate scan. A branch survives a value y of
     # coordinate j iff p + a_j y + sufmax[j + 1] >= rhs for every system;
@@ -308,22 +280,16 @@ def _scan(P: Polytope, n: int, credit: bool):
 
 def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
     """Coefficients (ascending) of the unique polynomial of degree
-    < len(points) through the given integer points, by Newton's divided
-    differences over exact rationals."""
-    xs = [Fraction(x) for x, _ in points]
-    divided = [Fraction(y) for _, y in points]
-    k = len(points)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form into monomial coefficients
-    coeffs = [Fraction(0)] * k
-    for i in range(k - 1, -1, -1):
-        # multiply current polynomial by (x - xs[i]) and add divided[i]
-        new = [Fraction(0)] * k
-        for j in range(k - 1):
-            new[j + 1] += coeffs[j]
-            new[j] -= xs[i] * coeffs[j]
-        new[0] += divided[i]
-        coeffs = new
-    return coeffs
+    < len(points) through the given integer points, by Lagrange's formula
+    in integers over one common denominator, divided out last."""
+    num, den = [0] * len(points), 1
+    for i, (xi, yi) in enumerate(points):
+        # add yi prod_{j != i} (x - x_j) / (x_i - x_j) to num / den
+        basis, d = [1], 1
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [b - xj * a for a, b in zip(basis + [0], [0] + basis)]
+                d *= xi - xj
+        num = [d * a + den * yi * b for a, b in zip(num, basis)]
+        den *= d
+    return [Fraction(a, den) for a in num]

@@ -12,9 +12,11 @@ with convex-hull membership tests. The last section keeps retired
 library routines (the Smith normal form, the Smith route to
 `affine_normalize`, the per-face normalized box scan, the per-face
 interval scan in P's model, the hull's start cone from one kernel per
-start row, the per-face `Fraction` sum of `c_star` and volumes from a
-pulling triangulation) as differential oracles; those build on the
-library.
+start row, the per-face `Fraction` sum of `c_star`, volumes from a
+pulling triangulation, the structural Ehrhart build by reciprocity over
+each face's proper faces and the two matrix helpers it all used,
+`mat_mul` and `unimodular_inverse`) as differential oracles; those build
+on the library.
 Slow on purpose; used only at desk scale.
 """
 
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from polyinv import linalg as la, mult, normalized_volume
+from polyinv import volumes as vol
+from polyinv.errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +476,28 @@ def oracle_normalized_volume(vertices):
 # form, its `AffineNormalization` and a polytope's normalized model: they
 # are the code that the Hermite-only `affine_normalize`, the interval
 # scan in P's own model, the carrier-crediting scan of nP, the adjugate
-# start cone and the per-multiplicity `c_star` sums replaced, kept to
-# check that the replacements give the same bases, counts, rays and
-# values.
+# start cone, the per-multiplicity `c_star` sums and the Ehrhart fit from
+# the carrier tables replaced, kept to check that the replacements give
+# the same bases, counts, rays, values and polynomials.
+
+
+def mat_mul(A, B):
+    """The integer matrix product A B."""
+    if A and B and len(A[0]) != len(B):
+        raise DomainError("matrix shapes do not match")
+    if not B:
+        return [[] for _ in A]
+    cols = range(len(B[0]))
+    return [[sum(a[k] * B[k][j] for k in range(len(a))) for j in cols] for a in A]
+
+
+def unimodular_inverse(M):
+    """Exact inverse of a unimodular integer matrix."""
+    n = len(M)
+    H, U = la.hermite_normal_form(M)
+    if H != la.identity(n):
+        raise DomainError("matrix is not unimodular")
+    return U
 
 
 def _xgcd(a, b):
@@ -613,7 +636,7 @@ def smith_normal_form(M):
     and U, V are unimodular.
     """
     U, D, V = _smith_engine(M)
-    assert la.mat_mul(la.mat_mul(U, la.copy_matrix(M)), V) == D
+    assert mat_mul(mat_mul(U, la.copy_matrix(M)), V) == D
     return U, D, V
 
 
@@ -629,15 +652,15 @@ def smith_affine_normalize(points):
         return la.AffineNormalization(matrix=(), base=base, basis=(), dim=0)
     _, D, V = _smith_engine(diffs)
     d = sum(1 for i in range(min(len(D), n)) if D[i][i] != 0)
-    Vinv = la.unimodular_inverse(V)
+    Vinv = unimodular_inverse(V)
     Wh, _ = la.hermite_normal_form([list(Vinv[i]) for i in range(d)])
     W = [row for row in Wh if any(row)]
     assert len(W) == d
     _, D2, V2 = _smith_engine(W)
     assert all(D2[i][i] == 1 for i in range(d))
-    V2inv = la.unimodular_inverse(V2)
+    V2inv = unimodular_inverse(V2)
     Wtilde = [list(r) for r in W] + [list(V2inv[i]) for i in range(d, n)]
-    Winv = la.unimodular_inverse(Wtilde)
+    Winv = unimodular_inverse(Wtilde)
     A = [tuple(Winv[j][i] for j in range(n)) for i in range(d)]
     return la.AffineNormalization(
         matrix=tuple(A), base=base, basis=tuple(tuple(r) for r in W), dim=d
@@ -823,4 +846,121 @@ def triangulation_volumes(P):
                 [la.vec_sub(P._nverts[v], base) for v in simplex[1:]]
             )
         out[face.mask] = total
+    return out
+
+
+def proper_faces(P):
+    """Face mask -> the masks of the face's proper faces."""
+    below = {}
+    lattice = P._lattice()
+    for s in lattice.dims:  # sorted by dimension
+        sub = set()
+        for c in lattice.children[s]:
+            sub.add(c)
+            sub.update(below[c])
+        below[s] = tuple(sub)
+    return below
+
+
+def structural_ehrhart(P):
+    """Face mask -> dim(P)! times the Ehrhart coefficients of the face.
+
+    k! L_F has integer coefficients for a lattice k-polytope F, so the
+    scaled values are integers. Built bottom up over the face lattice:
+    with L°_G(n) = (-1)^dim G L_G(-n) the relative interior count of G,
+    reciprocity gives L_F(n) - (-1)^k L_F(-n) = B(n), the sum of L°_G
+    over the proper faces G of F. So c_j = B_j / 2 for j of the parity
+    of k - 1, and B_j = 0 for the other j. c_k = Vol(F), c_0 = 1 for
+    even k, and the floor((k - 1)/2) coefficients left are solved from
+    lattice_points(F, n) at n = 1..floor((k - 1)/2).
+    """
+    scale = factorial(P.dim)
+    out = {}
+    below = proper_faces(P)
+    interior = {}  # face mask -> scaled L° coefficients
+    for s, k in P._lattice().dims.items():  # sorted by dimension
+        boundary = [0] * k
+        for g in below[s]:
+            for j, a in enumerate(interior[g]):
+                boundary[j] += a
+        coeffs = _face_ehrhart(P, s, k, boundary, scale)
+        out[s] = coeffs
+        interior[s] = [(-1) ** (k + j) * a for j, a in enumerate(coeffs)]
+    return out
+
+
+def _face_ehrhart(P, s, k, boundary, scale):
+    """Scaled coefficients of L_F for the k-face with vertex mask s, from
+    the scaled boundary sum B (see `structural_ehrhart`), the volume and
+    the counts reciprocity leaves open, with every identity checked that
+    these data must satisfy."""
+    coeffs = [0] * (k + 1)
+    for j, b in enumerate(boundary):
+        if (k - j) % 2:
+            half, odd = divmod(b, 2)
+            if odd:
+                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
+            coeffs[j] = half
+        elif b:
+            raise P._broken(
+                f"reciprocity fails: the boundary sum has a degree-{j} term", s
+            )
+    if k % 2:
+        if coeffs[0] != scale:
+            raise P._broken(
+                "Ehrhart constant term is not 1 (Euler relation on the boundary)", s
+            )
+    else:
+        coeffs[0] = scale
+    coeffs[k] = vol._nvol(P, s) * (scale // factorial(k))
+    if k > 0:
+        # c_{k-1} = (1/2) sum of Vol(G) over the facets G, with the facet
+        # volumes read afresh rather than from the boundary sum
+        facets = sum(vol._nvol(P, c) for c in P._lattice().children[s])
+        if 2 * coeffs[k - 1] != facets * (scale // factorial(k - 1)):
+            raise P._broken(
+                f"Ehrhart c_{k - 1} differs from half the facet volumes", s
+            )
+
+    unknown = range(2 - k % 2, k - 1, 2)
+    if unknown:
+        # sum_i c_{j0+2i} n^(j0+2i) = rest(n) is a polynomial in n^2 after
+        # dividing by n^j0; interpolate it through n = 1..len(unknown)
+        j0 = unknown[0]
+        points = []
+        for n in range(1, len(unknown) + 1):
+            rest = scale * vol._count(P, s, n) - sum(
+                a * n**j for j, a in enumerate(coeffs)
+            )
+            points.append((n * n, Fraction(rest, n**j0)))
+        for j, cf in zip(unknown, vol.interpolate(points)):
+            if cf.denominator != 1:
+                raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
+            coeffs[j] = int(cf)
+    return tuple(coeffs)
+
+
+def structural_ehrhart_polynomial(face):
+    """`ehrhart_polynomial` of a face by `structural_ehrhart`."""
+    P = face.owner
+    scale = factorial(P.dim)
+    return tuple(Fraction(a, scale) for a in structural_ehrhart(P)[face.mask])
+
+
+def structural_f_polynomial(P):
+    """`f_polynomial` with each face adding its own Ehrhart polynomial from
+    `structural_ehrhart`: face F of dimension k adds
+    (-1)^(r-k) (k+1)! n^(r-k) L_F(n)."""
+    r = P.dim
+    scaled = structural_ehrhart(P)
+    total = [0] * (r + 1)
+    for s, k in P._lattice().dims.items():
+        w = (-1) ** (r - k) * factorial(k + 1)
+        for j, a in enumerate(scaled[s]):
+            total[j + r - k] += w * a
+    out = []
+    for t in total:
+        d, rem = divmod(t, factorial(r))  # `scaled` holds r! L_F
+        assert not rem, (P.name, total)
+        out.append(d)
     return out

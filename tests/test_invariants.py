@@ -224,7 +224,7 @@ class TestFPolynomial:
     def test_non_integral_coefficient_is_caught(self):
         P = cube(2, 1)
         f_polynomial(P)
-        P._cache["ehrhart"][P.faces(0)[0].mask] = (3,)  # 3/2 lattice points at n = 0
+        P._cache["nvol"][P.top_face().mask] = Fraction(5, 2)  # d_2 gets 3 * 5/2
         with pytest.raises(InternalConsistencyError, match="not an integer") as err:
             f_polynomial(P)
         assert "polytope cube(2,1), face (0, 1, 2, 3)" in str(err.value)
@@ -232,16 +232,16 @@ class TestFPolynomial:
     def test_leading_coefficient_is_checked_against_c(self):
         P = cube(2, 1)
         f_polynomial(P)
-        P._cache["ehrhart"][P.top_face().mask] = (2, 4, 4)  # area 2 in place of 1
+        P._cache["nvol"][P.top_face().mask] = 4  # area 2 in place of 1
         with pytest.raises(InternalConsistencyError, match="differs from c"):
             f_polynomial(P)
 
 
 class TestNoHang:
-    """Small inputs whose dilates have huge bounding boxes: the
-    structural Ehrhart build counts no face of dimension <= 2 and the
-    3-face once, and the count scans the widest coordinate last, so the
-    sheared simplex costs about m scan nodes rather than m^2."""
+    """Small inputs whose dilates have huge bounding boxes: the Ehrhart
+    fit counts no face of dimension <= 2 and scans the 3-face once, and
+    the count scans the widest coordinate last, so the sheared simplex
+    costs about m scan nodes rather than m^2."""
 
     def test_long_triangle(self):
         P = Polytope.from_vertices([(0, 0), (10**8, 0), (0, 1)])

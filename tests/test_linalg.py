@@ -78,7 +78,7 @@ def degenerate_matrix(draw, max_dim=5):
     else:
         k = draw(st.integers(1, min(m, n)))
         f = st.integers(-3, 3)
-        M = la.mat_mul(draw(integer_matrix(m, k, f)), draw(integer_matrix(k, n, f)))
+        M = oracles.mat_mul(draw(integer_matrix(m, k, f)), draw(integer_matrix(k, n, f)))
     if draw(st.booleans()):
         j = draw(st.integers(0, n - 1))
         for row in M:
@@ -138,14 +138,14 @@ class TestSolve:
 
     def test_zero_leading_pivot_and_extra_rows(self):
         A = [[0, 1], [0, 2], [1, 0], [1, 1]]
-        assert la.solve(A, la.mat_mul(A, [[2, -1], [3, 5]]), 2) == [[2, -1], [3, 5]]
+        assert la.solve(A, oracles.mat_mul(A, [[2, -1], [3, 5]]), 2) == [[2, -1], [3, 5]]
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(degenerate_matrix(4), st.data())
     def test_recovers_integral_solution(self, A, data):
         n, c = len(A[0]), data.draw(st.integers(1, 3))
         X = data.draw(integer_matrix(n, c))
-        got = la.solve(A, la.mat_mul(A, X), n)
+        got = la.solve(A, oracles.mat_mul(A, X), n)
         assert got == (X if oracles.gauss_rank(A) == n else None)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -213,8 +213,8 @@ class TestAdjugate:
             return
         A = la.adjugate(M)
         DI = [[D * x for x in row] for row in la.identity(len(M))]
-        assert la.mat_mul(A, M) == DI
-        assert la.mat_mul(M, A) == DI
+        assert oracles.mat_mul(A, M) == DI
+        assert oracles.mat_mul(M, A) == DI
 
 
 class TestHermite:
@@ -231,7 +231,7 @@ class TestHermite:
     def test_small_example(self):
         M = [[2, 4], [6, 8]]
         H, U = la.hermite_normal_form(M)
-        assert la.mat_mul(U, M) == H
+        assert oracles.mat_mul(U, M) == H
         assert abs(la.det(U)) == 1
         assert is_row_hnf(H)
 
@@ -239,7 +239,7 @@ class TestHermite:
     @given(small_matrix())
     def test_identity_holds(self, M):
         H, U = la.hermite_normal_form(M)
-        assert la.mat_mul(U, M) == H
+        assert oracles.mat_mul(U, M) == H
         assert abs(la.det(U)) == 1
         assert is_row_hnf(H)
 
@@ -263,7 +263,7 @@ class TestSmith:
     @given(small_matrix())
     def test_identity_and_chain(self, M):
         U, D, V = oracles.smith_normal_form(M)
-        assert la.mat_mul(la.mat_mul(U, M), V) == D
+        assert oracles.mat_mul(oracles.mat_mul(U, M), V) == D
         assert abs(la.det(U)) == 1 and abs(la.det(V)) == 1
         m, n = len(D), len(D[0])
         diag = [D[i][i] for i in range(min(m, n))]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyinv import (
     Polytope,
     cube,
+    f_polynomial,
     hypersimplex,
     lattice_points,
     mult,
@@ -16,6 +17,7 @@ from polyinv import (
     simplex,
     volume,
 )
+from polyinv import volumes
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.volumes import ehrhart_polynomial, interpolate
@@ -293,9 +295,47 @@ class TestStructuralEhrhart:
         assert ehrhart_polynomial(P.dilate(t)) == scaled
 
 
+class TestAgainstStructuralRoute:
+    """`ehrhart_polynomial` of every face and `f_polynomial` (one fit each
+    through volumes and carrier tables) against the structural build by
+    reciprocity over each face's proper faces that they replaced."""
+
+    @staticmethod
+    def _check(P):
+        scale = factorial(P.dim)
+        scaled = oracles.structural_ehrhart(P)
+        for f in P.face_lattice():
+            want = tuple(Fraction(a, scale) for a in scaled[f.mask])
+            assert ehrhart_polynomial(f) == want, (P.name, f.vertex_ids)
+        assert f_polynomial(P) == oracles.structural_f_polynomial(P), P.name
+
+    def test_corpora(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        joins = [J for J, _k, _r in join_corpus]
+        for P in small_corpus + simple_corpus + conjecture_corpus + joins:
+            self._check(P)
+
+    def test_face_rich(self):
+        # dimension 6 and 7: S_3 and S_4 are also checked at the n = 2
+        # table, and the 7-faces are fitted through n = 1..3
+        for P in (cube(7, 1), hypersimplex(3, 7), product(simplex(3), cube(3, 1))):
+            self._check(P)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(lattice_polytopes())
+    def test_lattice_polytopes(self, P):
+        self._check(P)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_hull_inputs(self, pts):
+        self._check(Polytope.from_vertices(pts))
+
+
 class TestStructuralEhrhartChecks:
-    """Each identity of the structural build fails on a corrupted lattice
-    and names the polytope, the face and the identity."""
+    """Each identity of the structural build by reciprocity over the
+    proper faces (`oracles.structural_ehrhart`, the differential oracle of
+    the fit) fails on a corrupted lattice and names the polytope, the face
+    and the identity."""
 
     def test_constant_term_of_an_odd_face(self):
         P = cube(2, 1)
@@ -303,7 +343,7 @@ class TestStructuralEhrhartChecks:
         children = P._lattice().children
         children[edge.mask] = children[edge.mask][:1]
         with pytest.raises(InternalConsistencyError, match="constant term is not 1"):
-            ehrhart_polynomial(P)
+            oracles.structural_ehrhart(P)
 
     def test_facet_volume_identity(self):
         P = cube(2, 1)
@@ -311,7 +351,7 @@ class TestStructuralEhrhartChecks:
         children = P._lattice().children
         children[top.mask] += (P.faces(0)[0].mask,)  # a vertex posing as a facet
         with pytest.raises(InternalConsistencyError, match="half the facet volumes"):
-            ehrhart_polynomial(P)
+            oracles.structural_ehrhart(P)
 
     def test_reciprocity(self):
         P = cube(2, 1)
@@ -319,9 +359,62 @@ class TestStructuralEhrhartChecks:
         children = P._lattice().children
         children[top.mask] = children[top.mask][1:]
         with pytest.raises(InternalConsistencyError, match="reciprocity") as err:
-            ehrhart_polynomial(P)
+            oracles.structural_ehrhart(P)
         assert f"face {top.vertex_ids}" in str(err.value)
         assert "polytope cube(2,1)" in str(err.value)
+
+
+class TestEhrhartFitChecks:
+    """Each identity of the fit through the carrier tables fails on a
+    corrupted table or lattice, for one face (`ehrhart_polynomial`) and
+    for the k-face sums S_k (`f_polynomial`), and names the polytope, the
+    face and the identity."""
+
+    @staticmethod
+    def _raises(call, arg, match, face):
+        with pytest.raises(InternalConsistencyError, match=match) as err:
+            call(arg)
+        assert f"(polytope {face.owner.name}, face {face.vertex_ids})" in str(err.value)
+
+    def test_spare_equation_of_a_3_polytope(self):
+        # a second point on a vertex of P: the even part of L_P then fits
+        # c_2 = 7/2, not half the facet areas 3
+        P = cube(3, 1)
+        volumes._carriers(P, 1)[P.faces(0)[0].mask] += 1
+        top = P.top_face()
+        self._raises(ehrhart_polynomial, top, r"^Ehrhart c_2 differs from half", top)
+        self._raises(f_polynomial, P, r"^Ehrhart sum S_3 c_2 differs from half", top)
+
+    def test_edge_with_one_child(self):
+        # c_0 = L(0) = 1 against half the volume of a single vertex
+        P = cube(2, 1)
+        edge = P.faces(1)[0]
+        children = P._lattice().children
+        children[edge.mask] = children[edge.mask][1:]
+        self._raises(ehrhart_polynomial, edge, r"^Ehrhart c_0 differs from half", edge)
+        self._raises(
+            f_polynomial, P, r"^Ehrhart sum S_1 c_0 differs from half", P.top_face()
+        )
+
+    def test_count_beyond_the_fit(self):
+        # S_3 is fitted through n = 1 and checked at the n = 2 table, which
+        # also holds the interior counts S_5 needs
+        P = cube(5, 1)
+        volumes._carriers(P, 2)[P.faces(0)[0].mask] += 1
+        self._raises(
+            f_polynomial, P, r"^Ehrhart sum S_3 misses the count at n = 2",
+            P.top_face(),
+        )
+
+    def test_non_integral_fit(self):
+        # integer counts and volumes always fit integers (the data enter
+        # divided by at most (2m)!, m = floor((k - 1)/2), which divides k!);
+        # half a point on a vertex of P makes 3! c_2 = 39/2
+        P = cube(3, 1)
+        volumes._carriers(P, 1)[P.faces(0)[0].mask] += Fraction(1, 2)
+        top = P.top_face()
+        self._raises(ehrhart_polynomial, top, r"^6 \* Ehrhart c_2 is not an integer", top)
+        self._raises(f_polynomial, P, r"^6 \* Ehrhart sum S_3 c_2 is not an integer", top)
 
 
 class TestCountInOwnModel:

@@ -2,90 +2,66 @@
 
 Everything is exact: arbitrary precision integers for lattice data,
 `fractions.Fraction` at the rational edges. No floating point anywhere.
+
+Public names load lazily (PEP 562): the first access to one imports its
+home module, so `python -m polyinv <command>` loads only what it runs.
 """
 
-from .classifier import (
-    ClassificationReport,
-    JoinDecomposition,
-    classify,
-    decompose_join,
-    is_defect_polytope,
-)
-from .constructions import (
-    check_strongly_isomorphic,
-    cube,
-    eulerian,
-    hypersimplex,
-    product,
-    projective_join,
-    simplex,
-)
-from .equivalence import find_unimodular_map, unimodular_equivalent
-from .errors import (
-    DomainError,
-    InternalConsistencyError,
-    NotSimpleError,
-    PolyinvError,
-)
-from .invariants import (
-    InvariantReport,
-    c,
-    c_star,
-    c_t,
-    dual_degree,
-    f_polynomial,
-    f_value,
-    mult,
-    report,
-)
-from .linalg import (
-    AffineNormalization,
-    affine_normalize,
-    hermite_normal_form,
-    lattice_index,
-    primitive,
-)
-from .polytope import Face, Polytope
-from .volumes import lattice_points, normalized_volume, volume
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineNormalization",
-    "ClassificationReport",
-    "DomainError",
-    "Face",
-    "InternalConsistencyError",
-    "InvariantReport",
-    "JoinDecomposition",
-    "NotSimpleError",
-    "Polytope",
-    "PolyinvError",
-    "affine_normalize",
-    "c",
-    "c_star",
-    "c_t",
-    "check_strongly_isomorphic",
-    "classify",
-    "cube",
-    "decompose_join",
-    "dual_degree",
-    "eulerian",
-    "f_polynomial",
-    "f_value",
-    "find_unimodular_map",
-    "hermite_normal_form",
-    "hypersimplex",
-    "is_defect_polytope",
-    "lattice_index",
-    "lattice_points",
-    "mult",
-    "normalized_volume",
-    "primitive",
-    "product",
-    "projective_join",
-    "report",
-    "simplex",
-    "unimodular_equivalent",
-    "volume",
-]
+# each public name and its home module, in `__all__` order
+_HOMES = {
+    "AffineNormalization": "linalg",
+    "ClassificationReport": "classifier",
+    "DomainError": "errors",
+    "Face": "polytope",
+    "InternalConsistencyError": "errors",
+    "InvariantReport": "invariants",
+    "JoinDecomposition": "classifier",
+    "NotSimpleError": "errors",
+    "Polytope": "polytope",
+    "PolyinvError": "errors",
+    "affine_normalize": "linalg",
+    "c": "invariants",
+    "c_star": "invariants",
+    "c_t": "invariants",
+    "check_strongly_isomorphic": "constructions",
+    "classify": "classifier",
+    "cube": "constructions",
+    "decompose_join": "classifier",
+    "dual_degree": "invariants",
+    "eulerian": "constructions",
+    "f_polynomial": "invariants",
+    "f_value": "invariants",
+    "find_unimodular_map": "equivalence",
+    "hermite_normal_form": "linalg",
+    "hypersimplex": "constructions",
+    "is_defect_polytope": "classifier",
+    "lattice_index": "linalg",
+    "lattice_points": "volumes",
+    "mult": "invariants",
+    "normalized_volume": "volumes",
+    "primitive": "linalg",
+    "product": "constructions",
+    "projective_join": "constructions",
+    "report": "invariants",
+    "simplex": "constructions",
+    "unimodular_equivalent": "equivalence",
+    "volume": "volumes",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,41 +21,40 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from . import classifier as classify_mod
-from . import constructions as con
-from . import invariants as inv
-from . import volumes as vol
 from .errors import DomainError, InternalConsistencyError, broken_identity
 from .polytope import Polytope
 
 FORMAT_VERSION = 1
 
 
-@dataclass
 class CliConfig:
-    command: str
-    input_path: Optional[str] = None
-    output_format: str = "json"
-    t_range: tuple[int, ...] = (0, 1, 2, 3, 4)
-    dilation_max: int = 1
-    family: Optional[str] = None
-    dim: Optional[int] = None
-    k: Optional[int] = None
-    n: Optional[int] = None
-    length: Optional[int] = None
-    summands: tuple[str, ...] = ()
-    name: Optional[str] = None
+    """The settings of one command; `run` may set `family`."""
 
-    def __post_init__(self):
-        if self.dilation_max < 1:
+    def __init__(self, command: str, input_path: str | None = None,
+                 output_format: str = "json", t_range: tuple[int, ...] = (0, 1, 2, 3, 4),
+                 dilation_max: int = 1, family: str | None = None, dim: int | None = None,
+                 k: int | None = None, n: int | None = None, length: int | None = None,
+                 summands: tuple[str, ...] = (), name: str | None = None):
+        if dilation_max < 1:
             raise DomainError("--dilations must be >= 1")
-        if not self.t_range:
+        if not t_range:
             raise DomainError("--t-range must name at least one t")
-        if any(t < 0 for t in self.t_range):
+        if any(t < 0 for t in t_range):
             raise DomainError("--t-range entries must be nonnegative")
+        self.command = command
+        self.input_path = input_path
+        self.output_format = output_format
+        self.t_range = t_range
+        self.dilation_max = dilation_max
+        self.family = family
+        self.dim = dim
+        self.k = k
+        self.n = n
+        self.length = length
+        self.summands = summands
+        self.name = name
 
 
 class _InputError(Exception):
@@ -86,10 +85,36 @@ def _read_summands(config: CliConfig) -> list[Polytope]:
 
 def _render(doc: dict, fmt: str) -> bytes:
     if fmt == "json":
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (_json(doc, "") + "\n").encode("utf-8")
     lines: list[str] = []
     _render_table(doc, lines, "")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for the str-keyed dicts, lists, tuples,
+    strings, ints, booleans and None of a report. The stdlib's indenting
+    encoder leaves a reference cycle behind on every call; this does not."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
 def _render_table(value, lines: list[str], prefix: str):
@@ -136,7 +161,9 @@ def _poly_header(P: Polytope) -> dict:
     return doc
 
 
+# each `_cmd_*` imports the modules it runs; after the first call, a lookup
 def _cmd_info(P: Polytope) -> dict:
+    from . import volumes as vol
     doc = _poly_header(P)
     doc["n_vertices"] = len(P.vertices)
     doc["n_facets"] = P.n_facets
@@ -155,12 +182,14 @@ def _cmd_info(P: Polytope) -> dict:
 
 
 def _cmd_invariants(P: Polytope, config: CliConfig) -> dict:
+    from . import invariants as inv
     doc = _poly_header(P)
     doc.update(inv.report(P, t_range=config.t_range).to_dict())
     return doc
 
 
 def _cmd_ehrhart(P: Polytope, config: CliConfig) -> dict:
+    from . import volumes as vol
     # agreement at the d + 2 samples n = 0..d + 1 pins the polynomial down
     polynomial = vol.ehrhart_polynomial(P)
     samples = {0: 1}
@@ -179,12 +208,14 @@ def _cmd_ehrhart(P: Polytope, config: CliConfig) -> dict:
 
 
 def _cmd_classify(P: Polytope) -> dict:
+    from . import classifier as classify_mod
     doc = _poly_header(P)
     doc.update(classify_mod.classify(P).to_dict())
     return doc
 
 
 def _cmd_construct(config: CliConfig) -> dict:
+    from . import constructions as con
     fam = config.family
     if fam is None:
         raise DomainError("construct requires --family")
@@ -220,8 +251,16 @@ def _cmd_construct(config: CliConfig) -> dict:
 def run(config: CliConfig, input_bytes: bytes = b"") -> tuple[int, bytes]:
     """Execute one command; returns (exit_code, output bytes).
 
-    On failure the output holds the error message.
+    On failure the output holds the error message. This in-process entry
+    first loads every command's modules, so the modules a process holds (and
+    what a tracer patches in them) do not depend on the commands run so far;
+    `main` loads only its one command's.
     """
+    from . import classifier, constructions, equivalence, invariants, volumes
+    return _run(config, input_bytes)
+
+
+def _run(config: CliConfig, input_bytes: bytes) -> tuple[int, bytes]:
     try:
         if config.command in ("construct", "join"):
             if config.command == "join":
@@ -320,7 +359,7 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
@@ -338,7 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 1
         else:
             data = sys.stdin.buffer.read()
-    code, out = run(config, data)
+    code, out = _run(config, data)
     if code == 0:
         sys.stdout.buffer.write(out)
     else:

@@ -21,9 +21,9 @@ cones.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product as iproduct
-from typing import Optional, Sequence
 
 from .errors import DomainError, broken_identity
 from .polytope import Polytope
@@ -33,7 +33,7 @@ from .polytope import Polytope
 # basic families
 
 
-def _generated(family: str, verts: list, name: Optional[str]) -> Polytope:
+def _generated(family: str, verts: list, name: str | None) -> Polytope:
     """`from_vertices` on a generated vertex list whose every point must
     come out as a vertex."""
     P = Polytope.from_vertices(verts, name=name)
@@ -73,7 +73,7 @@ def hypersimplex(k: int, n: int) -> Polytope:
     return _generated("hypersimplex", verts, f"hypersimplex({k},{n})")
 
 
-def product(P: Polytope, Q: Polytope, name: Optional[str] = None) -> Polytope:
+def product(P: Polytope, Q: Polytope, name: str | None = None) -> Polytope:
     """Cartesian product in the concatenated ambient space."""
     verts = [v + w for v in P.vertices for w in Q.vertices]
     return _generated("product", verts, name)
@@ -133,7 +133,7 @@ def check_strongly_isomorphic(summands: Sequence[Polytope]) -> None:
 
 
 def projective_join(
-    summands: Sequence[Polytope], name: Optional[str] = None
+    summands: Sequence[Polytope], name: str | None = None
 ) -> Polytope:
     """The projective join of the summands: each P_i embedded at height
     e_i of a unimodular simplex in k extra coordinates, then the hull.

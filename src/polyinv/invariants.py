@@ -35,8 +35,7 @@ that expansion.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence, Union
@@ -228,16 +227,14 @@ def dual_degree(P: Polytope) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """Bundle of the invariants of one polytope."""
+class InvariantReport(namedtuple(
+    "InvariantReport", "c c_t_values f_coefficients c_star dual_degree notes",
+    defaults=(None, None, ()),
+)):
+    """Bundle of the invariants of one polytope; immutable. `c_t_values`
+    maps t to c_t; `c_star` is a Fraction or None, `notes` a str tuple."""
 
-    c: int
-    c_t_values: dict[int, int]
-    f_coefficients: tuple[int, ...]
-    c_star: Optional[Fraction] = None
-    dual_degree: Optional[int] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         doc = {

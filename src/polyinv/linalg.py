@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -332,20 +332,17 @@ def cut_basis(basis: Sequence[Sequence[int]], j: int) -> tuple[int, list]:
 # affine lattice normalization
 
 
-@dataclass(frozen=True)
-class AffineNormalization:
+class AffineNormalization(namedtuple("AffineNormalization", "matrix base basis dim")):
     """Affine change of coordinates onto the lattice of an affine span.
 
     `forward` maps Z^n integer points to Z^d by x -> A (x - base); restricted
     to (affine span of the inputs) cap Z^n it is a bijection onto Z^d.
     `backward` is its exact inverse on the span: y -> base + y . basis.
     The basis rows generate the saturated direction lattice of the span.
+    Immutable fields: `matrix` (A), `base`, `basis` and `dim` (d).
     """
 
-    matrix: tuple[Vector, ...]  # d x n
-    base: Vector  # in Z^n
-    basis: tuple[Vector, ...]  # d rows in Z^n
-    dim: int
+    __slots__ = ()
 
     def forward(self, point: Sequence[int]) -> Vector:
         diff = vec_sub(point, self.base)

@@ -33,10 +33,8 @@ back at its polytope.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
 from .errors import DomainError, InternalConsistencyError, broken_identity
@@ -49,9 +47,8 @@ Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
 _Lattice = namedtuple("_Lattice", "levels children facets dims parent")
 
 
-@dataclass(frozen=True, eq=False)
 class Face:
-    """A nonempty face of a polytope.
+    """A nonempty face of a polytope; immutable, its fields are slots.
 
     Identified by its vertex mask: bit i of `mask` is set iff the owner's
     vertex i lies on it; bit j of `facet_mask` is set iff facet j contains
@@ -62,10 +59,18 @@ class Face:
     are equal iff their masks and their owners are.
     """
 
-    owner: "Polytope"
-    mask: int
-    facet_mask: int
-    dim: int
+    __slots__ = ("owner", "mask", "facet_mask", "dim")
+
+    def __init__(self, owner: Polytope, mask: int, facet_mask: int, dim: int):
+        for field, value in zip(Face.__slots__, (owner, mask, facet_mask, dim)):
+            object.__setattr__(self, field, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a Face")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy through __init__
+        return Face, (self.owner, self.mask, self.facet_mask, self.dim)
 
     def __eq__(self, other):
         return isinstance(other, Face) and self.mask == other.mask and (
@@ -103,7 +108,7 @@ class Polytope:
     def __init__(self, *, _internal=False):
         if not _internal:
             raise DomainError("use Polytope.from_vertices to construct polytopes")
-        self.name: Optional[str] = None
+        self.name: str | None = None
         self.ambient_dim: int = 0
         self.dim: int = 0
         self.vertices: tuple[Point, ...] = ()
@@ -118,7 +123,7 @@ class Polytope:
 
     @classmethod
     def from_vertices(
-        cls, points: Iterable[Sequence[int]], name: Optional[str] = None
+        cls, points: Iterable[Sequence[int]], name: str | None = None
     ) -> "Polytope":
         pts = _clean_points(points)
         norm = la.affine_normalize(pts)
@@ -388,6 +393,8 @@ class Polytope:
 
     def contains(self, point: Sequence) -> bool:
         """Exact membership for a rational point of the ambient space."""
+        from fractions import Fraction  # imported on use: it loads `decimal`
+
         if len(point) != self.ambient_dim:
             raise DomainError("point dimension does not match ambient dimension")
         x = [Fraction(c) for c in point]

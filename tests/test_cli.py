@@ -249,3 +249,60 @@ class TestMainEntry:
         code = main(["info", "/nonexistent/file.json"])
         assert code == 1
         assert "input" in capsys.readouterr().err
+
+
+HAND_MADE_DOCS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], [{}], {"d": {}}]},
+    [[], {}, [[]]],
+    {"name": "café 日本 \U0001f600  ", "x": "\x00\x01\x1f\x7f\n\t\r\b\f"},
+    {"name": 'quote " back \\ slash \\" /'},
+    {"big": 10**200, "neg": -(10**50), "zero": 0, "list": [1, -1, 2**64]},
+    {"none": None, "true": True, "false": False, "mixed": [None, True, False, 0, 1]},
+    {"tuple": (1, (2, 3), ()), "nested": ({"k": ()},)},
+    "top-level string",
+    7,
+    None,
+]
+
+
+class TestJsonRenderer:
+    """`cli._json` against the stdlib's `json.dumps(doc, indent=2)`."""
+
+    @pytest.mark.parametrize("doc", HAND_MADE_DOCS)
+    def test_hand_made(self, doc):
+        from polyinv.cli import _json
+
+        assert _json(doc, "") == json.dumps(doc, indent=2)
+
+    def test_unsupported_type_raises(self):
+        from fractions import Fraction
+
+        from polyinv.cli import _json
+
+        with pytest.raises(TypeError):
+            json.dumps({"x": [Fraction(1, 2)]})
+        with pytest.raises(TypeError):
+            _json({"x": [Fraction(1, 2)]}, "")
+
+    def test_corpora_outputs(self, small_corpus, join_corpus):
+        from polyinv import cli
+
+        config = CliConfig(command="invariants")
+        docs = []
+        for P in small_corpus + [J for J, _, _ in join_corpus]:
+            docs.append(P.to_dict())
+            for make in (
+                cli._cmd_info,
+                cli._cmd_classify,
+                lambda P: cli._cmd_invariants(P, config),
+                lambda P: cli._cmd_ehrhart(P, config),
+            ):
+                try:
+                    docs.append(make(P))
+                except DomainError:
+                    pass
+        assert len(docs) > 4 * len(small_corpus)
+        for doc in docs:
+            assert cli._render(doc, "json") == (json.dumps(doc, indent=2) + "\n").encode()

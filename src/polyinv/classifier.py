@@ -22,15 +22,16 @@ have rank k and span a saturated lattice, and the first facet of the
 subset is tight exactly where the coordinates sum to 1, so its primitive
 normal is minus the sum of theirs. The vertex fibers must then be
 (r-k)-dimensional, Delzant and strongly isomorphic in their shared
-Hermite model. The decomposition predicts where each vertex of P lands
-in the projective join of the fibers (its fiber coordinates followed by
-its simplex vertex); those images are the join's vertices by
-construction, so the join is not rebuilt. The unimodular map fixed by
-that correspondence is solved and checked on every vertex
-(`equivalence.paired_unimodular_map`), and its last k rows must be the
-reported projection. This check, not the search, is the correctness
-anchor. Ties are broken by one rule for every k: maximal k first, then
-the lexicographically smallest facet subset in facet order.
+Hermite model; a fiber is Delzant by its facet normals at each vertex
+and builds no face lattice. The decomposition predicts where each vertex of P lands in the projective
+join of the fibers (its fiber coordinates followed by its simplex
+vertex); those images are the join's vertices by construction, so the
+join is not rebuilt. The unimodular map fixed by that correspondence is
+solved and checked on every vertex (`equivalence.paired_unimodular_map`),
+and its last k rows must be the reported projection. This check, not
+the search, is the correctness anchor. Ties are broken by one rule for
+every k: maximal k first, then the lexicographically smallest facet
+subset in facet order.
 """
 
 from __future__ import annotations

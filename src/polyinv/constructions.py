@@ -106,8 +106,9 @@ def check_strongly_isomorphic(summands: Sequence[Polytope]) -> None:
     affine spans must be parallel. The row Hermite form of a lattice is
     unique, so parallel spans have one `_norm.basis` and one model map.
     Their facet normals can therefore be compared as they are. Then the
-    normal fans, each a set of per-vertex facet masks, must agree; facets
-    are sorted by normal, so equal normals give one bit order.
+    normal fans, each the set of per-vertex facet masks read off
+    `Polytope._fan`, must agree; facets are sorted by normal, so equal
+    normals give one bit order.
     """
     if not summands:
         raise DomainError("a join needs at least one summand")
@@ -121,13 +122,7 @@ def check_strongly_isomorphic(summands: Sequence[Polytope]) -> None:
     normals = [[a for a, _ in P._nfacets] for P in summands]
     if any(ns != normals[0] for ns in normals):
         raise DomainError("summands not strongly isomorphic: facet normals differ")
-    fans = [
-        {
-            sum(1 << j for j, tight in enumerate(P._incidence) if tight >> vid & 1)
-            for vid in range(P.n_vertices)
-        }
-        for P in summands
-    ]
+    fans = [set(P._fan()) for P in summands]
     if any(fan != fans[0] for fan in fans):
         raise DomainError("summands not strongly isomorphic: normal fans differ")
 

@@ -13,11 +13,12 @@ coordinates.
 
 Facets come from an exact integer double description hull on the
 normalized model (`_hull_facet_normals`, its start cone read off one
-`linalg.adjugate`), whose rays are the facet inequalities. Every
-candidate normal is still validated by sidedness and the rank of its
-tight set before it becomes a facet. Tight sets and facet incidences are
-int bitmasks over point ids; a point is a vertex only if the facets
-through it meet in that point alone.
+`linalg.adjugate`): its rays are the facet inequalities, their zero
+masks the tight sets. Sidedness must give the same sets, of full rank,
+before a normal becomes a facet. Tight sets and facet incidences are int
+bitmasks over point ids; a point is a vertex only if the facets through
+it meet in that point alone. Transposed, the incidences are the normal
+fan (`_fan`): simplicity and the Delzant test (Delzant 1988) read it.
 
 The face lattice comes from the incidences in one graded pass on masks,
 top down: the facets of a face are the inclusion-maximal nonempty
@@ -132,13 +133,17 @@ class Polytope:
 
         facets: dict[Halfspace, int] = {}
         if d > 0:
-            for a in _hull_facet_normals(model, d):
+            for a, zero in _hull_facet_normals(model, d):
                 vals = [la.dot(a, y) for y in model]
                 b = min(vals)
-                tight = [i for i, v in enumerate(vals) if v == b]
+                if zero != sum(1 << i for i, v in enumerate(vals) if v == b):
+                    raise InternalConsistencyError(
+                        f"hull zero mask is not the tight set (points {tuple(pts)})"
+                    )
+                tight = _ids(zero)
                 diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
                 if la.rank(diffs) == d - 1:
-                    facets[(a, b)] = sum(1 << i for i in tight)
+                    facets[(a, b)] = zero
 
         # extreme points: the facets through a point meet in that point alone
         keep = []
@@ -345,24 +350,32 @@ class Polytope:
 
     # -- predicates ------------------------------------------------------
 
+    def _fan(self) -> tuple[int, ...]:
+        """The normal fan: bit j of entry i is set iff vertex i is on facet j."""
+        if "fan" not in self._cache:
+            fan = [0] * len(self.vertices)
+            for j, t in enumerate(self._incidence):
+                for i in _ids(t):
+                    fan[i] |= 1 << j
+            self._cache["fan"] = tuple(fan)
+        return self._cache["fan"]
+
     def is_simple(self) -> bool:
-        """True iff every vertex lies on exactly dim(P) edges."""
+        """True iff every vertex lies on exactly dim(P) facets (equivalently
+        edges: its vertex figure is then a simplex)."""
         if "simple" not in self._cache:
-            g = self.edge_graph()
-            self._cache["simple"] = all(
-                len(nbrs) == self.dim for nbrs in g.values()
-            )
+            self._cache["simple"] = all(f.bit_count() == self.dim for f in self._fan())
         return self._cache["simple"]
 
     def is_delzant(self) -> bool:
-        """Simple, and the primitive edge directions at every vertex form a
-        basis of the span lattice (determinant +-1 in the normalized model).
-        """
+        """Simple, and the primitive normals of the facets through each
+        vertex form a basis of Z^dim (a unimodular normal cone). With facet
+        i missing edge i, the normals A and the primitive edge directions E
+        give A E^T = diag(a_i . e_i) > 0: either is unimodular iff that is I."""
         if "delzant" not in self._cache:
-            nv = self._nverts
+            normals = [a for a, _ in self._nfacets]
             self._cache["delzant"] = self.is_simple() and all(
-                abs(la.det([la.primitive(la.vec_sub(nv[w], nv[v])) for w in nbrs])) == 1
-                for v, nbrs in self.edge_graph().items()
+                abs(la.det([normals[j] for j in _ids(f)])) == 1 for f in self._fan()
             )
         return self._cache["delzant"]
 
@@ -503,7 +516,7 @@ def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
     return list(dict.fromkeys(pts))
 
 
-def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
+def _hull_facet_normals(model: list[Point], d: int) -> list[tuple[Point, int]]:
     """Primitive inward facet normals of the full dimensional hull of
     `model` in Z^d, by the double description method (Fukuda & Prodon,
     "Double description method revisited", 1996) in exact integers.
@@ -513,7 +526,8 @@ def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
     point}; it starts from the simplicial cone of `_start_cone`.
     Each further row keeps the rays on its nonnegative side and joins
     every adjacent pair that it separates. Adjacency is the combinatorial
-    test on zero sets, kept as bitmasks over the model point ids.
+    test on zero sets, returned with the normals: bitmasks over the point
+    ids, exact since a new ray vanishes on an earlier row iff both parents do.
     """
     rows = [v + (-1,) for v in model]
     start, rays = _start_cone(model, d)
@@ -546,7 +560,7 @@ def _hull_facet_normals(model: list[Point], d: int) -> list[Point]:
         rays = [rays[k] for k in keep] + new_rays
         zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep]
         zeros += new_zeros
-    return [la.primitive(r[:-1]) for r in rays]
+    return [(la.primitive(r[:-1]), z) for r, z in zip(rays, zeros)]
 
 
 def _start_cone(model: list[Point], d: int) -> tuple[list[int], list[Point]]:

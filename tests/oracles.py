@@ -12,7 +12,8 @@ with convex-hull membership tests. The last section keeps retired
 library routines (the Smith normal form, the Smith route to
 `affine_normalize`, the per-face normalized box scan, the per-face
 interval scan in P's model, the hull's start cone from one kernel per
-start row, the per-face `Fraction` sum of `c_star`, volumes from a
+start row, simplicity and the Delzant test on the edge graph, the
+per-face `Fraction` sum of `c_star`, volumes from a
 pulling triangulation, the structural Ehrhart build by reciprocity over
 each face's proper faces and the two matrix helpers it all used,
 `mat_mul` and `unimodular_inverse`) as differential oracles; those build
@@ -797,6 +798,22 @@ def kernel_start_cone(model, d):
         (r,) = la.kernel_basis([rows[i] for i in range(len(rows)) if i != j])
         rays.append(r if la.dot(r, row) > 0 else tuple(-x for x in r))
     return start, rays
+
+
+def edge_is_simple(P):
+    """`Polytope.is_simple` on the edge graph: every vertex lies on
+    exactly dim(P) edges."""
+    return all(len(nbrs) == P.dim for nbrs in P.edge_graph().values())
+
+
+def edge_is_delzant(P):
+    """`Polytope.is_delzant` on the edge graph: simple, and the primitive
+    edge directions at every vertex have determinant +-1 in the model."""
+    nv = P._nverts
+    return edge_is_simple(P) and all(
+        abs(la.det([la.primitive(la.vec_sub(nv[w], nv[v])) for w in nbrs])) == 1
+        for v, nbrs in P.edge_graph().items()
+    )
 
 
 def fraction_c_star(P):

@@ -10,12 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from polyinv import Polytope, classifier, cube, hypersimplex, invariants, simplex
 from polyinv import linalg as la
-from polyinv import volumes
+from polyinv import polytope, volumes
 from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.polytope import _clean_points, _start_cone
 
 import oracles
-from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS, hull_inputs
+from conftest import (
+    TRIANGLE_HALF,
+    UNIMODULAR_TRANSFORMS,
+    hull_inputs,
+    lattice_polytopes,
+    unimodular_maps,
+)
 
 
 class TestFromVertices:
@@ -435,6 +441,80 @@ class TestPredicates:
         assert simplex(0).is_delzant()
         assert Polytope.from_vertices([()]).is_delzant()
         assert Polytope.from_vertices([(3, -1)]).is_delzant()
+
+
+def assert_predicates_match_edge_route(P):
+    """`is_simple` and `is_delzant`, read off the normal fan, against the
+    edge-graph oracles."""
+    fan = (P.is_simple(), P.is_delzant())
+    assert fan == (oracles.edge_is_simple(P), oracles.edge_is_delzant(P)), P
+
+
+class TestPredicatesAgainstEdgeRoute:
+    """The normal-fan predicates against the edge-graph route they
+    replaced, on the corpora, on random draws and on unimodular images."""
+
+    def test_corpora(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        corpus = small_corpus + simple_corpus + conjecture_corpus
+        for P in corpus + [J for J, _k, _r in join_corpus]:
+            assert_predicates_match_edge_route(P)
+            for M, t in UNIMODULAR_TRANSFORMS.get(P.ambient_dim, []):
+                assert_predicates_match_edge_route(P.unimodular_image(M, t))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_lattice_polytopes(self, data):
+        P = data.draw(lattice_polytopes())
+        U, t = data.draw(unimodular_maps(P.ambient_dim))
+        assert_predicates_match_edge_route(P)
+        assert_predicates_match_edge_route(P.unimodular_image(U, t))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_hull_inputs(self, data):
+        P = Polytope.from_vertices(data.draw(hull_inputs()))
+        U, t = data.draw(unimodular_maps(P.ambient_dim))
+        assert_predicates_match_edge_route(P)
+        assert_predicates_match_edge_route(P.unimodular_image(U, t))
+
+    @pytest.mark.parametrize(
+        "P, simple, delzant",
+        [
+            (simplex(0), True, True),
+            (Polytope.from_vertices([(2,), (5,)]), True, True),
+            (Polytope.from_vertices(TRIANGLE_HALF), True, False),
+            (hypersimplex(2, 4), False, False),
+            (simplex(2).dilate(2), True, True),
+            (hypersimplex(1, 4), True, True),
+        ],
+    )
+    def test_hand_cases(self, P, simple, delzant):
+        # hypersimplex(1, 4) is a unimodular 3-simplex in x_1 + ... + x_4 = 1
+        assert (P.is_simple(), P.is_delzant()) == (simple, delzant)
+        assert_predicates_match_edge_route(P)
+
+    def test_build_no_face_lattice(self, join_corpus):
+        for P in (cube(3, 1), hypersimplex(2, 4), Polytope.from_vertices(TRIANGLE_HALF)):
+            P.is_simple()
+            P.is_delzant()
+            assert "lattice" not in P._cache, P
+        for J, _k, _r in join_corpus:
+            for F in classifier.decompose_join(J).fibers:
+                assert "lattice" not in F._cache, F
+
+
+class TestHullZeroMasks:
+    def test_wrong_zero_mask_raises(self, monkeypatch):
+        hull = polytope._hull_facet_normals
+
+        def flipped(model, d):
+            (a, zero), *rest = hull(model, d)
+            return [(a, zero ^ 1)] + rest
+
+        monkeypatch.setattr(polytope, "_hull_facet_normals", flipped)
+        with pytest.raises(InternalConsistencyError, match="zero mask") as err:
+            Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert "points ((0, 0), (1, 0), (0, 1), (1, 1))" in str(err.value)
 
 
 class TestTransforms:

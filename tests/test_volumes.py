@@ -23,7 +23,12 @@ from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.volumes import ehrhart_polynomial, interpolate
 
 import oracles
-from conftest import UNIMODULAR_TRANSFORMS, hull_inputs
+from conftest import (
+    UNIMODULAR_TRANSFORMS,
+    hull_inputs,
+    lattice_polytopes,
+    unimodular_maps,
+)
 
 
 class TestNormalizedVolume:
@@ -218,37 +223,6 @@ class TestPick:
         assert polys
         for P in polys:
             assert self.pick_holds(P), P.name
-
-
-@st.composite
-def lattice_polytopes(draw):
-    """Hulls of up to m + 3 points of [-2, 2]^m, m = 1..4."""
-    m = draw(st.integers(1, 4))
-    pts = draw(
-        st.lists(
-            st.tuples(*[st.integers(-2, 2)] * m),
-            min_size=1,
-            max_size=m + 3,
-            unique=True,
-        )
-    )
-    return Polytope.from_vertices(pts)
-
-
-@st.composite
-def unimodular_maps(draw, m):
-    """(U, t): a signed permutation times a few elementary shears, and a
-    translation, all in Z^m."""
-    perm = draw(st.permutations(range(m)))
-    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
-    U = [[signs[i] if j == perm[i] else 0 for j in range(m)] for i in range(m)]
-    if m > 1:
-        for _ in range(draw(st.integers(0, 3))):
-            i, j = draw(st.permutations(range(m)))[:2]
-            s = draw(st.integers(-3, 3))
-            U[i] = [a + s * b for a, b in zip(U[i], U[j])]
-    t = draw(st.tuples(*[st.integers(-5, 5)] * m))
-    return U, t
 
 
 class TestStructuralEhrhart:

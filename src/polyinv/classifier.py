@@ -44,7 +44,7 @@ from typing import Optional
 from . import linalg as la
 from .constructions import check_strongly_isomorphic
 from .equivalence import paired_unimodular_map
-from .errors import DomainError, broken_identity
+from .errors import DomainError
 from .invariants import c, c_star, dual_degree
 from .polytope import Polytope
 
@@ -124,13 +124,11 @@ def decompose_join(P: Polytope) -> Optional[JoinDecomposition]:
             if dec is None:
                 continue
             if not _k_min(r) <= dec.k <= r:
-                raise broken_identity(
-                    "join parameter outside classified range", P.top_face()
-                )
+                raise P._broken("join parameter outside classified range")
             if dec.defect != 2 * dec.k - r:
-                raise broken_identity("defect value inconsistent with k", P.top_face())
+                raise P._broken("defect value inconsistent with k")
             return dec
-    raise broken_identity("classification violated", P.top_face())
+    raise P._broken("classification violated")
 
 
 def _exact_cover(masks, full) -> bool:
@@ -293,9 +291,7 @@ def classify(P: Polytope) -> ClassificationReport:
         )
     if cval < 0:
         # c >= 0 on every Delzant polytope by the source paper
-        raise broken_identity(
-            f"c = {cval} is negative on a Delzant polytope", P.top_face()
-        )
+        raise P._broken(f"c = {cval} is negative on a Delzant polytope")
     return ClassificationReport(
         dim=P.dim,
         is_simple=simple,

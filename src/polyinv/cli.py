@@ -23,7 +23,7 @@ import json
 import sys
 from collections.abc import Sequence
 
-from .errors import DomainError, InternalConsistencyError, broken_identity
+from .errors import DomainError, InternalConsistencyError
 from .polytope import Polytope
 
 FORMAT_VERSION = 1
@@ -197,9 +197,7 @@ def _cmd_ehrhart(P: Polytope, config: CliConfig) -> dict:
         samples[n] = vol.lattice_points(P, n)
     for n, count in samples.items():
         if sum(cf * n**j for j, cf in enumerate(polynomial)) != count:
-            raise broken_identity(
-                "Ehrhart polynomial disagrees with a direct count", P.top_face()
-            )
+            raise P._broken("Ehrhart polynomial disagrees with a direct count")
     doc = _poly_header(P)
     doc["samples"] = {str(n): count for n, count in samples.items()}
     doc["polynomial"] = [str(cf) for cf in polynomial]

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
-from .errors import DomainError, broken_identity
+from .errors import DomainError
 from .polytope import Polytope
 
 
@@ -38,9 +38,8 @@ def _generated(family: str, verts: list, name: str | None) -> Polytope:
     come out as a vertex."""
     P = Polytope.from_vertices(verts, name=name)
     if P.n_vertices != len(verts):
-        raise broken_identity(
-            f"{family} construction dropped a point expected to be a vertex",
-            P.top_face(),
+        raise P._broken(
+            f"{family} construction dropped a point expected to be a vertex"
         )
     return P
 
@@ -144,5 +143,5 @@ def projective_join(
     ]
     out = _generated("projective join", verts, name)
     if out.dim != summands[0].dim + k:
-        raise broken_identity("projective join has wrong dimension", out.top_face())
+        raise out._broken("projective join has wrong dimension")
     return out

@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from . import linalg as la
 from . import volumes as vol
-from .errors import broken_identity
 from .polytope import Polytope
 
 Map = tuple[list[list[int]], tuple[int, ...]]
@@ -92,9 +91,7 @@ def find_unimodular_map(P: Polytope, Q: Polytope) -> Optional[Map]:
     a0 = 0  # P's model vertices are in a fixed order; anchor at the first
     frame = _frame(P, a0)
     if frame is None:
-        raise broken_identity(
-            "edge directions at a vertex do not span", P.faces(0)[a0]
-        )
+        raise P._broken("edge directions at a vertex do not span", 1 << a0)
     src = [P._nverts[a0]] + [P._nverts[w] for w in frame]
     degA = [len(P.edge_graph()[w]) for w in frame]
     deg0 = len(P.edge_graph()[a0])

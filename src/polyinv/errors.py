@@ -4,6 +4,7 @@ DomainError marks violated preconditions on otherwise well-formed data
 (e.g. multiplicities requested for a non-simple polytope).
 InternalConsistencyError marks a broken mathematical identity that the
 code guarantees by construction; it always indicates a bug.
+`Polytope._broken` makes one naming the polytope and face it failed on.
 """
 
 
@@ -21,12 +22,3 @@ class NotSimpleError(DomainError):
 
 class InternalConsistencyError(PolyinvError):
     """An exact identity that must hold by construction failed."""
-
-
-def broken_identity(identity: str, face) -> InternalConsistencyError:
-    """The error for an identity that failed on a face: it names the
-    identity, the owning polytope (or "unnamed") and the face's vertex ids."""
-    name = face.owner.name or "unnamed"
-    return InternalConsistencyError(
-        f"{identity} (polytope {name}, face {face.vertex_ids})"
-    )

@@ -41,7 +41,7 @@ from math import factorial
 from typing import Optional, Sequence, Union
 
 from . import volumes as vol
-from .errors import DomainError, NotSimpleError, broken_identity
+from .errors import DomainError, NotSimpleError
 from .polytope import Face, Polytope
 
 
@@ -132,7 +132,7 @@ def c_star(P: Polytope) -> Fraction:
         sums[mults[s]] += (-1) ** (r - k) * (k + 1) * vol._nvol(P, s)
     total = sum((Fraction(s, m) for m, s in sums.items()), Fraction(0))
     if P.is_delzant() and total != c(P):
-        raise broken_identity("c_star differs from c on a Delzant input", P.top_face())
+        raise P._broken("c_star differs from c on a Delzant input")
     return total
 
 
@@ -159,11 +159,9 @@ def f_polynomial(P: Polytope) -> list[int]:
             out[j + r - k] += (-1) ** (r - k) * (k + 1) * a
     for i, d in enumerate(out):
         if d.denominator != 1:
-            raise broken_identity(
-                f"f-polynomial coefficient d_{i} is not an integer", P.top_face()
-            )
+            raise P._broken(f"f-polynomial coefficient d_{i} is not an integer")
     if out[r] != c(P):
-        raise broken_identity("leading f-coefficient differs from c(P)", P.top_face())
+        raise P._broken("leading f-coefficient differs from c(P)")
     return out
 
 
@@ -203,11 +201,12 @@ def _sum_counts(P: Polytope) -> dict[int, list[tuple[int, int]]]:
 
 def f_value(P: Polytope, n: int) -> int:
     """Direct evaluation of f(P, n) without interpolation."""
+    if n < 1:
+        raise DomainError("dilation must be a positive integer")
     r = P.dim
     acc = 0
-    for f in P.face_lattice():
-        k = f.dim
-        acc += (-n) ** (r - k) * factorial(k + 1) * vol.lattice_points(f, n)
+    for s, k in P._lattice().dims.items():
+        acc += (-n) ** (r - k) * factorial(k + 1) * vol._count(P, s, n)
     return acc
 
 
@@ -258,12 +257,12 @@ def report(P: Polytope, t_range: Sequence[int] = (0, 1, 2, 3, 4)) -> InvariantRe
     ct = {t: c_t(P, t) for t in t_range}
     fcoef = tuple(f_polynomial(P))
     if fcoef[-1] != cval:
-        raise broken_identity("report has d_r != c", P.top_face())
+        raise P._broken("report has d_r != c")
     cstar = None
     if P.is_simple():
         cstar = c_star(P)
         if P.is_delzant() and cstar != cval:
-            raise broken_identity("c_star != c on Delzant input", P.top_face())
+            raise P._broken("c_star != c on Delzant input")
         if cstar.denominator != 1:
             notes.append(
                 "c_star is non-integral on this simple but non-Delzant input"

@@ -14,8 +14,8 @@ coordinates.
 Facets come from an exact integer double description hull on the
 normalized model (`_hull_facet_normals`, its start cone read off one
 `linalg.adjugate`): its rays are the facet inequalities, their zero
-masks the tight sets. Sidedness must give the same sets, of full rank,
-before a normal becomes a facet. Tight sets and facet incidences are int
+masks the tight sets; sidedness must give each ray the same set, of rank
+dim - 1, or the hull raises. Tight sets and facet incidences are int
 bitmasks over point ids; a point is a vertex only if the facets through
 it meet in that point alone. Transposed, the incidences are the normal
 fan (`_fan`): simplicity and the Delzant test (Delzant 1988) read it.
@@ -23,12 +23,11 @@ fan (`_fan`): simplicity and the Delzant test (Delzant 1988) read it.
 The face lattice comes from the incidences in one graded pass on masks,
 top down: the facets of a face are the inclusion-maximal nonempty
 intersections of its vertex mask with the facets of P not containing it.
-A face's dimension is its level in that pass. Each level is sorted once
-and stored, so `faces(k)` reads one level, and each face's children are
-filled in level order from the parents that the pass records. A face is
-its vertex mask, which keys every per-face map. Caches hold ints only; a
-`Face` is made where the public API hands one out, so no cache points
-back at its polytope.
+A face's dimension is its level in that pass. Levels and children keep
+the pass's order; only the public listers sort by vertex ids. A face is
+its vertex mask, which keys every per-face map and names it in errors
+(`Polytope._broken`). Caches hold ints only; a `Face` is made where the
+public API hands one out, so no cache points back at its polytope.
 """
 
 from __future__ import annotations
@@ -38,13 +37,13 @@ from collections.abc import Iterable, Sequence
 from math import gcd
 
 from . import linalg as la
-from .errors import DomainError, InternalConsistencyError, broken_identity
+from .errors import DomainError, InternalConsistencyError
 
 Point = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
-# The face lattice as ints: each dimension's face masks sorted by vertex ids;
-# mask -> child masks in level order; mask -> facet mask; mask -> dimension,
-# in `face_lattice` order; mask -> the mask of the first parent found.
+# The face lattice as ints, in the order of the top-down pass that builds it:
+# each dimension's face masks; mask -> child masks; mask -> facet mask;
+# mask -> dimension, ascending by dimension; mask -> the first parent found.
 _Lattice = namedtuple("_Lattice", "levels children facets dims parent")
 
 
@@ -142,8 +141,11 @@ class Polytope:
                     )
                 tight = _ids(zero)
                 diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
-                if la.rank(diffs) == d - 1:
-                    facets[(a, b)] = zero
+                if la.rank(diffs) != d - 1:
+                    raise InternalConsistencyError(
+                        f"hull ray is not a facet (points {tuple(pts)})"
+                    )
+                facets[(a, b)] = zero
 
         # extreme points: the facets through a point meet in that point alone
         keep = []
@@ -235,8 +237,8 @@ class Polytope:
     # -- face lattice ----------------------------------------------------
 
     def face_lattice(self) -> tuple[Face, ...]:
-        """All nonempty faces, graded by dimension, including P itself."""
-        return tuple(map(self._face, self._lattice().dims))
+        """All nonempty faces: `faces(0)` + ... + `faces(dim)`, P itself last."""
+        return tuple(f for k in range(self.dim + 1) for f in self.faces(k))
 
     def _lattice(self) -> _Lattice:
         """The face lattice as ints, built once (`_build_face_lattice`)."""
@@ -249,30 +251,33 @@ class Polytope:
         lattice = self._lattice()
         return Face(self, mask, lattice.facets[mask], lattice.dims[mask])
 
-    def _broken(self, identity: str, mask: int) -> InternalConsistencyError:
-        """`broken_identity` on the face with vertex mask `mask`."""
-        return broken_identity(identity, self._face(mask))
+    def _broken(
+        self, identity: str, mask: int | None = None
+    ) -> InternalConsistencyError:
+        """The error naming a failed identity, P's name and the vertex ids
+        of the face with mask `mask` (P by default); it builds no lattice."""
+        if mask is None:
+            mask = (1 << len(self.vertices)) - 1
+        return InternalConsistencyError(
+            f"{identity} (polytope {self.name or 'unnamed'}, face {_ids(mask)})"
+        )
 
     def _build_face_lattice(self) -> _Lattice:
         """The face lattice in five int-only maps (`_Lattice`).
 
-        Built top down on int bitmasks over the vertex ids, one level per
-        dimension. The facets of a face F are the inclusion-maximal
+        Built in one top-down pass on int bitmasks over the vertex ids, a
+        level per dimension. The facets of a face F are the inclusion-maximal
         nonempty cuts F & t over the facet incidences t that do not
         contain F, and the facets of P containing such a child are those
-        of F plus the t that cut it, kept as a mask of facet ids. Faces
-        record their parents; the sorted levels fill children in level
-        order. A `Face` is made only to name one in an error.
+        of F plus the t that cut it, kept as a mask of facet ids. Levels
+        and children keep the pass's order, not vertex-id order, and
+        `reversed(dims)` retraces the pass, each face after its parents.
         """
         incidence, d, n = self._incidence, self.dim, len(self.vertices)
         top = (1 << n) - 1
-        facets, level_of, parents, first = {top: 0}, {top: d}, {top: []}, {}
-
-        def broken(identity: str, c: int = top) -> InternalConsistencyError:
-            return broken_identity(identity, Face(self, c, facets[c], level_of[c]))
-
+        facets, level_of, children, first = {top: 0}, {top: d}, {}, {}
         if any(t & top == top for t in incidence):
-            raise broken("the top face lies on a facet")
+            raise self._broken("the top face lies on a facet")
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
         levels = [[top]]
         for level in levels:
@@ -293,50 +298,38 @@ class Polytope:
                         kids.append(c)
                 for c in kids:
                     if c not in level_of:
-                        first[c], facets[c] = s, facets[s] | cuts[c]
-                        level_of[c], parents[c] = dim, []
+                        first[c], facets[c], level_of[c] = s, facets[s] | cuts[c], dim
                         below.append(c)
                     elif level_of[c] != dim:
                         what = "face appears at two levels of the face lattice"
-                        raise broken(what, c)
-                    parents[c].append(s)
+                        raise self._broken(what, c)
+                children[s] = kids
             if below:
                 levels.append(below)
 
         # guardrails: these hold for every polytope and catch a wrong or
         # incomplete facet description at first use
-        if len(levels) != d + 1 or sorted(levels[-1]) != [1 << i for i in range(n)]:
-            raise broken("vertex missing from face lattice")
+        if len(levels) != d + 1 or set(levels[-1]) != {1 << i for i in range(n)}:
+            raise self._broken("vertex missing from face lattice")
         if sum((-1) ** (d - i) * len(level) for i, level in enumerate(levels)) != 1:
-            raise broken("Euler relation failed")
-
-        # faces of one level are never nested, so their order by vertex ids
-        # is the descending order of their mask bits read from vertex 0 up
-        graded = tuple(
-            tuple(sorted(level, key=lambda m: bin(m)[:1:-1], reverse=True))
-            for level in reversed(levels)
-        )
-        children: dict[int, list[int]] = {m: [] for m in level_of}
-        for level in graded:
-            for c in level:
-                for s in parents[c]:
-                    children[s].append(c)
-        dims = {m: k for k, level in enumerate(graded) for m in level}
-        children = {m: tuple(kids) for m, kids in children.items()}
-        return _Lattice(graded, children, facets, dims, first)
+            raise self._broken("Euler relation failed")
+        levels.reverse()
+        dims = dict(reversed(level_of.items()))
+        return _Lattice(levels, children, facets, dims, first)
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
-        levels = self._lattice().levels
-        return tuple(map(self._face, levels[k] if 0 <= k <= self.dim else ()))
+        level = self._lattice().levels[k] if 0 <= k <= self.dim else ()
+        return tuple(map(self._face, sorted(level, key=_ids)))
 
     def top_face(self) -> Face:
-        return self._face(self._lattice().levels[-1][0])
+        return self._face((1 << len(self.vertices)) - 1)
 
     def face_children(self, face: Face) -> tuple[Face, ...]:
         """Faces of dimension face.dim - 1 contained in `face`, sorted by
         vertex ids."""
-        return tuple(map(self._face, self._lattice().children[face.mask]))
+        kids = self._lattice().children[face.mask]
+        return tuple(map(self._face, sorted(kids, key=_ids)))
 
     def edge_graph(self) -> dict[int, tuple[int, ...]]:
         """Vertex id -> sorted ids of neighbors along edges."""

@@ -50,8 +50,8 @@ from math import factorial
 from typing import Sequence, Union
 
 from . import linalg as la
-from .errors import DomainError, broken_identity
-from .polytope import Face, Polytope
+from .errors import DomainError
+from .polytope import Face, Polytope, _ids
 
 FaceLike = Union[Face, Polytope]
 
@@ -88,7 +88,7 @@ def _nvol(P: Polytope, s: int) -> int:
                 what = "not an integer" if rem else "not positive"
                 raise P._broken(
                     f"height of the first vertex over the facet"
-                    f" {P._face(c).vertex_ids} is {what}",
+                    f" {_ids(c)} is {what}",
                     s,
                 )
             total += h * _nvol(P, c)
@@ -232,8 +232,7 @@ def _scan(P: Polytope, n: int, credit: bool):
             model = dict(zip(order, prefix + (y,)))
             x = la.vec_add(P._norm.backward([model[j] for j in range(d)]),
                            [(n - 1) * c for c in P._norm.base])
-            raise broken_identity(f"the point {x} of {n}P is tight on the"
-                                  " facets of no face", P.top_face())
+            raise P._broken(f"the point {x} of {n}P is tight on the facets of no face")
         g = carrier[tight]
         table[g] = table.get(g, 0) + points
 

@@ -516,6 +516,25 @@ class TestHullZeroMasks:
             Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
         assert "points ((0, 0), (1, 0), (0, 1), (1, 1))" in str(err.value)
 
+    def test_ray_through_one_vertex_raises(self, monkeypatch):
+        # a ray whose tight set has rank other than d - 1 is no facet and
+        # can only come from a hull bug: the sum of two adjacent facet
+        # normals of the square is tight at their common vertex alone
+        hull = polytope._hull_facet_normals
+
+        def with_a_vertex_ray(model, d):
+            rays = hull(model, d)
+            (a, z), (b, w) = next(
+                (p, q)
+                for p, q in itertools.combinations(rays, 2)
+                if (p[1] & q[1]).bit_count() == 1
+            )
+            return rays + [(la.primitive(la.vec_add(a, b)), z & w)]
+
+        monkeypatch.setattr(polytope, "_hull_facet_normals", with_a_vertex_ray)
+        with pytest.raises(InternalConsistencyError, match="hull ray is not a facet"):
+            Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+
 
 class TestTransforms:
     def test_dilate_identity(self):
@@ -617,3 +636,58 @@ class TestJsonRoundtrip:
     def test_malformed_documents(self, doc, field):
         with pytest.raises(DomainError, match=field):
             Polytope.from_dict(doc)
+
+
+def assert_public_order(P):
+    """`faces(k)` and `face_children(F)` are sorted by vertex ids, and
+    `face_lattice()` is graded from the vertices up, then sorted; as sets,
+    all three agree with the int maps, which keep the build's own order."""
+    lattice = P._lattice()
+    levels = [P.faces(k) for k in range(P.dim + 1)]
+    faces = P.face_lattice()
+    assert faces == sum(levels, ()), P.name
+    assert [f.dim for f in faces] == sorted(lattice.dims.values()), P.name
+    assert {f.mask: f.dim for f in faces} == lattice.dims, P.name
+    for k, level in enumerate(levels):
+        ids = [f.vertex_ids for f in level]
+        assert ids == sorted(ids), (P.name, k)
+        assert sorted(f.mask for f in level) == sorted(lattice.levels[k]), (P.name, k)
+    for f in faces:
+        kids = P.face_children(f)
+        ids = [g.vertex_ids for g in kids]
+        assert ids == sorted(ids), (P.name, f.vertex_ids)
+        assert sorted(g.mask for g in kids) == sorted(lattice.children[f.mask])
+
+
+def assert_broken_needs_no_lattice(P):
+    """`_broken` names P, or one vertex of it, without building a lattice."""
+    P = Polytope.from_vertices(P.vertices, name=P.name)
+    name, n = P.name or "unnamed", P.n_vertices
+    assert str(P._broken("x")) == f"x (polytope {name}, face {tuple(range(n))})"
+    for i in range(n):
+        assert str(P._broken("x", 1 << i)) == f"x (polytope {name}, face ({i},))"
+    assert "lattice" not in P._cache, P.name
+
+
+class TestPublicEdge:
+    """The listers hand out Faces sorted by vertex ids whatever the order of
+    the int lattice behind them, and errors name faces from masks alone."""
+
+    def test_corpora(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        corpus = small_corpus + simple_corpus + conjecture_corpus
+        for P in corpus + [J for J, _k, _r in join_corpus]:
+            assert_public_order(P)
+            assert_broken_needs_no_lattice(P)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(lattice_polytopes())
+    def test_lattice_polytopes(self, P):
+        assert_public_order(P)
+        assert_broken_needs_no_lattice(P)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_hull_inputs(self, pts):
+        P = Polytope.from_vertices(pts)
+        assert_public_order(P)
+        assert_broken_needs_no_lattice(P)

@@ -28,16 +28,16 @@ counted, and no face needs the polynomials of its own faces. The same
 fit gives the sums over the k-faces that `invariants.f_polynomial`
 expands.
 
-Lattice counts |nF cap Z^ambient| come from one scan of nP per n in
-P's own model, an affine lattice isomorphism of aff(P) cap Z^ambient
-onto Z^dim, cut out by P's facet inequalities alone (`_scan`). The scan
-of the dilated bounding box fixes one coordinate at a time; the values
-of a coordinate that can still reach a point form an interval, solved
-from the inequalities, and the last coordinate adds its interval's
-length. The scan credits each point to its carrier, the smallest face
-containing it, whose facet mask is the point's tight set, and keeps the
-nonzero interior counts L°_G(n). P alone is the same scan without
-credits unless that table exists. No floating point, no approximation.
+Lattice counts |nF cap Z^ambient|, P's included, come from one scan of
+nP per n in P's own model, an affine lattice isomorphism of
+aff(P) cap Z^ambient onto Z^dim, cut out by P's facet inequalities alone
+(`_scan`). The scan of the dilated bounding box fixes one coordinate at
+a time; the values of a coordinate that can still reach a point form an
+interval, solved from the inequalities. Each point is credited to its
+carrier, the smallest face containing it, whose facet mask is the
+point's tight set, read off the solve of the last coordinate's interval,
+and the scan keeps the nonzero interior counts L°_G(n). No floating
+point, no approximation.
 The CLI command `ehrhart` checks `ehrhart_polynomial` against such
 direct counts.
 """
@@ -105,34 +105,27 @@ def volume(face: FaceLike) -> Fraction:
 
 
 def lattice_points(face: FaceLike, n: int) -> int:
-    """|nF cap Z^ambient| for an integer dilation n >= 1: a proper face F
-    sums L°_G(n) over the faces G <= F from the carrier table of nP, one
-    per n; P alone is a plain scan of nP unless that table exists."""
+    """|nF cap Z^ambient| for an integer dilation n >= 1: L_F(n) sums
+    L°_G(n) over the faces G <= F from the carrier table of nP, one per n;
+    P itself is the sum of its whole table."""
     if n < 1:
         raise DomainError("dilation must be a positive integer")
     return _count(*_located(face), n)
 
 
 def _count(P: Polytope, s: int, n: int) -> int:
-    """`lattice_points` of the face with vertex mask s."""
-    key = ("count", s, n)
-    if key not in P._cache:
-        lattice = P._lattice()
-        if lattice.dims[s] == 0:
-            P._cache[key] = 1
-        elif ("carriers", n) not in P._cache and not lattice.facets[s]:
-            P._cache[key] = _scan(P, n, credit=False)
-        else:
-            table = _carriers(P, n)
-            P._cache[key] = sum([c for g, c in table.items() if g & s == g])
-    return P._cache[key]
+    """`lattice_points` of the face with vertex mask s: 1 for a vertex, else
+    the sum of `_carriers` over the faces inside s."""
+    if P._lattice().dims[s] == 0:
+        return 1
+    return sum([c for g, c in _carriers(P, n).items() if g & s == g])
 
 
 def _carriers(P: Polytope, n: int) -> dict[int, int]:
     """Face mask -> L°_G(n) > 0, the points of nP whose carrier is G; one
-    credit scan per n (`_scan`)."""
+    scan per n (`_scan`)."""
     if ("carriers", n) not in P._cache:
-        P._cache[("carriers", n)] = _scan(P, n, credit=True)
+        P._cache[("carriers", n)] = _scan(P, n)
     return P._cache[("carriers", n)]
 
 
@@ -202,12 +195,13 @@ def _fit(
     return coeffs
 
 
-def _scan(P: Polytope, n: int, credit: bool):
-    """The lattice points of nP in P's model: their number, or with
-    `credit` a map from face mask to L°_G(n), the number of them whose
-    carrier is G, for the G with L°_G(n) > 0. Each facet is affine and
-    >= 0 on a leaf's interval, so it is tight inside iff tight at both
-    ends, and a leaf credits at most three carriers. Counting one small
+def _scan(P: Polytope, n: int) -> dict[int, int]:
+    """The carrier table of nP in P's model: face mask -> L°_G(n), the
+    number of lattice points of nP whose carrier is G, for the G with
+    L°_G(n) > 0. The tight sets come from the last coordinate's interval
+    solve: a facet is zero only at its exact bound, so it is tight at the
+    end that bound makes, or, if constant there, on all or none of the
+    interval; a leaf credits at most three carriers. Counting one small
     proper face at a large n this way scans all of nP."""
     d = P.dim
     lo, hi = la.bounding_box(P._nverts)
@@ -223,7 +217,7 @@ def _scan(P: Polytope, n: int, credit: bool):
         for j in range(d - 1, -1, -1):
             sufmax[j] = sufmax[j + 1] + max(a[j] * lo[j], a[j] * hi[j])
         systems.append((a, n * b, sufmax))
-    carrier = {f: s for s, f in P._lattice().facets.items()} if credit else {}
+    carrier = {f: s for s, f in P._lattice().facets.items()}
     table: dict[int, int] = {}
     bits = [1 << i for i in range(len(systems))]
 
@@ -238,21 +232,33 @@ def _scan(P: Polytope, n: int, credit: bool):
 
     # coordinate-by-coordinate scan. A branch survives a value y of
     # coordinate j iff p + a_j y + sufmax[j + 1] >= rhs for every system;
-    # that is linear in y, so the surviving values form an interval
-    count = 0
+    # that is linear in y, so the surviving values form an interval. At a
+    # leaf sufmax[d] = 0, so low, high and flat are the facets tight at
+    # ylo, at yhi and on the whole interval
     stack = [(0, [0] * len(systems), ())]
     while stack:
         j, partials, prefix = stack.pop()
         ylo, yhi = lo[j], hi[j]
-        for (a, rhs, suf), p in zip(systems, partials):
+        low = high = flat = 0
+        for (a, rhs, suf), p, bit in zip(systems, partials, bits):
             aj = a[j]
             t = rhs - p - suf[j + 1]
             if aj > 0:
-                ylo = max(ylo, -(-t // aj))
+                q = -(-t // aj)
+                if q > ylo:
+                    ylo, low = q, (bit if q * aj == t else 0)
+                elif q == ylo and q * aj == t:
+                    low |= bit
             elif aj < 0:
-                yhi = min(yhi, t // aj)
+                q = t // aj
+                if q < yhi:
+                    yhi, high = q, (bit if q * aj == t else 0)
+                elif q == yhi and q * aj == t:
+                    high |= bit
             elif t > 0:
-                yhi = ylo - 1
+                break
+            elif t == 0:
+                flat |= bit
             if ylo > yhi:
                 break
         else:
@@ -260,21 +266,14 @@ def _scan(P: Polytope, n: int, credit: bool):
                 for y in range(ylo, yhi + 1):
                     nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
                     stack.append((j + 1, nxt, prefix + (y,)))
-            elif not credit:
-                count += yhi - ylo + 1
+            elif ylo == yhi:
+                add(low | high | flat, prefix, ylo, 1)
             else:
-                low = high = 0  # the facets tight at each end
-                for (a, rhs, _), p, bit in zip(systems, partials, bits):
-                    if a[j] * ylo == rhs - p:
-                        low |= bit
-                    if a[j] * yhi == rhs - p:
-                        high |= bit
-                add(low, prefix, ylo, 1)
-                if ylo < yhi:
-                    add(high, prefix, yhi, 1)
+                add(low | flat, prefix, ylo, 1)
+                add(high | flat, prefix, yhi, 1)
                 if yhi - ylo > 1:
-                    add(low & high, prefix, ylo + 1, yhi - ylo - 1)
-    return table if credit else count
+                    add(flat, prefix, ylo + 1, yhi - ylo - 1)
+    return table
 
 
 def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:

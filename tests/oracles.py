@@ -16,8 +16,9 @@ start row, simplicity and the Delzant test on the edge graph, the
 per-face `Fraction` sum of `c_star`, volumes from a
 pulling triangulation, the structural Ehrhart build by reciprocity over
 each face's proper faces and the two matrix helpers it all used,
-`mat_mul` and `unimodular_inverse`) as differential oracles; those build
-on the library.
+`mat_mul` and `unimodular_inverse`) as differential oracles, and the
+carrier table of nP by a walk of the dilated box in P's model; those
+build on the library.
 Slow on purpose; used only at desk scale.
 """
 
@@ -771,6 +772,25 @@ def interval_scan_count(P, face, n):
                 nxt = [p + a[j] * y for (a, _, _), p in zip(systems, partials)]
                 stack.append((j + 1, nxt))
     return count
+
+
+def box_carriers(P, n):
+    """Face mask -> L°_G(n) > 0 by brute force in P's model: every lattice
+    point of n times the bounding box of the model's vertices that meets
+    all facet inequalities of nP is credited to the face whose facet mask
+    is its tight set."""
+    face_of = {f: s for s, f in P._lattice().facets.items()}
+    lo, hi = la.bounding_box(P._nverts)
+    table = {}
+    for y in itertools.product(*(range(n * l, n * h + 1) for l, h in zip(lo, hi))):
+        slack = [la.dot(a, y) - n * b for a, b in P._nfacets]
+        if min(slack) < 0:
+            continue
+        tight = sum(1 << i for i, x in enumerate(slack) if x == 0)
+        assert tight in face_of, (P.name, n, y, tight)
+        g = face_of[tight]
+        table[g] = table.get(g, 0) + 1
+    return table
 
 
 def affine_basis(model, d):

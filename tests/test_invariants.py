@@ -1,5 +1,7 @@
 import json
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +10,7 @@ import pytest
 from polyinv import (
     Polytope,
     c,
+    classify,
     c_star,
     c_t,
     cube,
@@ -412,3 +415,34 @@ class TestReport:
             "dual_degree",
             "notes",
         ]
+
+
+class TestConcurrentReads:
+    """Polytopes fill their caches lazily with idempotent values, so
+    threads that share one polytope read what a serial run reads."""
+
+    CALLS = (
+        lambda P: report(P).to_dict(),
+        lambda P: classify(P).to_dict(),
+        lambda P: volumes.ehrhart_polynomial(P),
+    )
+
+    def test_shared_polytopes(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        corpus = small_corpus + simple_corpus + conjecture_corpus
+        corpus += [J for J, _k, _r in join_corpus]
+
+        def fresh():
+            return [Polytope.from_vertices(P.vertices, name=P.name) for P in corpus]
+
+        want = [[call(P) for call in self.CALLS] for P in fresh()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the scans
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    [pool.submit(call, P) for call in self.CALLS] for P in fresh()
+                ]
+                got = [[f.result(timeout=120) for f in row] for row in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,7 @@ from polyinv import (
     simplex,
     volume,
 )
-from polyinv import volumes
+from polyinv import linalg as la, volumes
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.volumes import ehrhart_polynomial, interpolate
@@ -111,6 +111,32 @@ class TestNormalizedVolume:
             normalized_volume(P)
         assert f"face {P.top_face().vertex_ids}" in str(err.value)
         assert "polytope triangle_23" in str(err.value)
+
+    def test_nonpositive_volume_raises(self):
+        # every facet left under the top face contains its first vertex,
+        # so the pyramids from that vertex add nothing
+        P = Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)], name="sq")
+        top = P.top_face().mask
+        children = P._lattice().children
+        children[top] = [c for c in children[top] if c & top & -top]
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^face has nonpositive volume \(polytope sq, face \(0, 1, 2, 3\)\)$",
+        ):
+            normalized_volume(P)
+
+    def test_constant_facet_raises(self):
+        # a direction lattice basis of zero vectors: no facet normal takes
+        # a nonzero value on it, so the cut's content is 0
+        P = cube(3, 1)
+        top = P.top_face().mask
+        P._cache["bases"] = {top: [(0,) * P.n_facets] * 3}
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^facet 0 is constant on the face"
+            r" \(polytope cube\(3,1\), face \(0, 1, 2, 3, 4, 5, 6, 7\)\)$",
+        ):
+            normalized_volume(P)
 
     def test_additive_over_a_split(self):
         # [0,3] x [0,1] split along x = 1 into two rectangles
@@ -253,7 +279,7 @@ class TestStructuralEhrhart:
     def test_dimension_at_most_two_is_never_counted(self):
         P = Polytope.from_vertices([(0, 0), (7, 0), (0, 5)])
         assert ehrhart_polynomial(P) == (Fraction(1), Fraction(13, 2), Fraction(35, 2))
-        assert not any(key[0] == "count" for key in P._cache)
+        assert not any(key[0] == "carriers" for key in P._cache)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.data())
@@ -430,23 +456,46 @@ class TestCountInOwnModel:
         )
         self._check(P)
 
-    def test_polytope_alone_is_a_plain_scan(self, small_corpus):
-        # P asked first runs the scan without credits; a proper face then
-        # builds the table, whose carriers add up to the same total
-        for P in small_corpus:
-            if P.dim < 2:
-                continue  # a vertex is never looked up in the table
-            P = Polytope.from_vertices(P.vertices)
-            total = lattice_points(P, 2)
-            assert ("carriers", 2) not in P._cache
-            lattice_points(P.faces(1)[0], 2)
-            assert sum(P._cache[("carriers", 2)].values()) == total
+    @staticmethod
+    def _check_carriers(P):
+        # every carrier table of nP against a walk of the dilated box, and
+        # P's count against that walk's total; P is fresh, so its own count
+        # is the first call to build each table
+        P = Polytope.from_vertices(P.vertices, name=P.name)
+        lo, hi = la.bounding_box(P._nverts)
+        for n in (1, 2, 3):
+            if prod(n * (h - l) + 1 for l, h in zip(lo, hi)) > 5000:
+                break  # a small box only
+            want = oracles.box_carriers(P, n)
+            assert lattice_points(P, n) == sum(want.values()), (P.name, n)
+            assert volumes._carriers(P, n) == want, (P.name, n)
+
+    def test_carriers_match_box_walk(self, small_corpus, join_corpus):
+        # with a lower-dimensional octahedron, a segment, one-point
+        # intervals at the corners of simplices and a thin triangle, and
+        # the cube's facets that are constant in the last coordinate
+        extra = [
+            hypersimplex(2, 4),
+            Polytope.from_vertices([(0, 0), (3, 3)]),
+            simplex(3),
+            Polytope.from_vertices([(0, 0), (5, 5), (0, 1)]),
+            cube(3, 1),
+        ]
+        for P in small_corpus + [J for J, _k, _r in join_corpus] + extra:
+            if P.dim:  # a vertex is never looked up in the table
+                self._check_carriers(P)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_carriers_of_hull_inputs(self, pts):
+        self._check_carriers(Polytope.from_vertices(pts))
 
     def test_tight_set_of_no_face(self):
         # the unit square at height 7 of Z^3 with facets A, B, C, D, where
         # C is opposite A and D meets C: C' = C + D moved one step outward
         # cuts the corner of C and D, and the point 2v of 2P, v the vertex
-        # on A and D, becomes tight on A, C' and D, the facets of no face
+        # on A and D, becomes tight on A, C' and D, the facets of no face;
+        # counting an edge or P itself scans 2P and raises
         P = Polytope.from_vertices(
             [(3, 7, 2), (4, 7, 2), (3, 7, 3), (4, 7, 3)], name="square"
         )
@@ -458,10 +507,11 @@ class TestCountInOwnModel:
         facets[c] = (tuple(x + y for x, y in zip(ac, ad)), bc + bd + 1)
         P._nfacets = tuple(facets)
         v = P.vertices[(incidence[a] & incidence[d]).bit_length() - 1]
-        with pytest.raises(InternalConsistencyError, match="tight on the facets of no face") as err:
-            lattice_points(P.faces(1)[0], 2)
-        assert f"point {tuple(2 * x for x in v)} of 2P" in str(err.value)
-        assert "(polytope square, face (0, 1, 2, 3))" in str(err.value)
+        for face in (P.faces(1)[0], P):
+            with pytest.raises(InternalConsistencyError, match="tight on the facets of no face") as err:
+                lattice_points(face, 2)
+            assert f"point {tuple(2 * x for x in v)} of 2P" in str(err.value)
+            assert "(polytope square, face (0, 1, 2, 3))" in str(err.value)
 
 
 def _volume_sums(P):

@@ -23,13 +23,16 @@ subset is tight exactly where the coordinates sum to 1, so its primitive
 normal is minus the sum of theirs. The vertex fibers must then be
 (r-k)-dimensional, Delzant and strongly isomorphic in their shared
 Hermite model; a fiber is Delzant by its facet normals at each vertex
-and builds no face lattice. The decomposition predicts where each vertex of P lands in the projective
-join of the fibers (its fiber coordinates followed by its simplex
-vertex); those images are the join's vertices by construction, so the
-join is not rebuilt. The unimodular map fixed by that correspondence is
-solved and checked on every vertex (`equivalence.paired_unimodular_map`),
-and its last k rows must be the reported projection. This check, not
-the search, is the correctness anchor. Ties are broken by one rule for
+and builds no face lattice. Fibers with the same model points (the
+k+1 equal fibers of a product with a simplex) are built and tested once
+and are then one shared, immutable `Polytope`. The decomposition
+predicts where each vertex of P lands in the projective join of the
+fibers (its fiber coordinates followed by its simplex vertex); those
+images are the join's vertices by construction, so the join is not
+rebuilt. The unimodular map fixed by that correspondence is solved and
+checked on every vertex (`equivalence.paired_unimodular_map`), and its
+last k rows must be the reported projection. This check, not the
+search, is the correctness anchor. Ties are broken by one rule for
 every k: maximal k first, then the lexicographically smallest facet
 subset in facet order.
 """
@@ -68,8 +71,10 @@ class JoinDecomposition:
     simplex vertices (fiber 0 over the origin, fiber i over e_i), given
     as full-dimensional polytopes in one shared normalization so that
     `projective_join(fibers)` rebuilds the input up to unimodular
-    equivalence. `defect` is 2k - r; the unimodular r-simplex is the case
-    k = r, with point fibers and defect r.
+    equivalence. Equal fibers are one shared, immutable `Polytope`, so
+    setting `.name` on one sets it on all of them. `defect` is 2k - r;
+    the unimodular r-simplex is the case k = r, with point fibers and
+    defect r.
     `to_dict` writes the image as the document of `simplex(k)`.
     """
 
@@ -179,6 +184,7 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     # vertices onto the simplex), which fiber 0, an (r - k)-face there, spans
     norm0 = la.affine_normalize([P._nverts[i] for i in fiber_vids[0]])
     fibers = []
+    built: dict[tuple, Polytope] = {}  # sorted model points -> their fiber
     # where each vertex lands in the join of the fibers: its fiber
     # coordinates, then the simplex vertex e_i of its fiber, as
     # `projective_join` lists it
@@ -190,9 +196,12 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
             tuple(la.dot(row, la.vec_sub(p, b)) for row in norm0.matrix)
             for p in pts
         ]
-        F = Polytope.from_vertices(coords)
-        if F.dim != r - k or not F.is_delzant():
-            return None
+        key = tuple(sorted(coords))
+        F = built.get(key)
+        if F is None:
+            F = built[key] = Polytope.from_vertices(coords)
+            if F.dim != r - k or not F.is_delzant():
+                return None
         fibers.append(F)
         for vid, x in zip(vids, coords):
             join_images[vid] = x + e_i

@@ -53,7 +53,7 @@ def transpose(M: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_vec(A: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in A)
+    return tuple(sum(map(operator.mul, row, v)) for row in A)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:

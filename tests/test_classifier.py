@@ -104,6 +104,61 @@ class TestDecomposeJoin:
                 assert f.dim == r - dec.k
 
 
+class TestEachFiberBuiltOnce:
+    """`_try_subset` builds each distinct fiber once: equal fibers are one
+    shared `Polytope`, and each fiber is the build of its own model points."""
+
+    @staticmethod
+    def _builds(monkeypatch, P):
+        """decompose_join(P) and the number of `from_vertices` calls in it."""
+        real = Polytope.from_vertices.__func__
+        calls = []
+
+        def counted(cls, points, name=None):
+            calls.append(name)
+            return real(cls, points, name)
+
+        monkeypatch.setattr(Polytope, "from_vertices", classmethod(counted))
+        return decompose_join(P), len(calls)
+
+    def test_segre_product_builds_one_fiber(self, monkeypatch):
+        dec, builds = self._builds(monkeypatch, product(simplex(1), simplex(4)))
+        assert (dec.k, len(dec.fibers), builds) == (4, 5, 1)
+        assert all(f is dec.fibers[0] for f in dec.fibers)
+
+    def test_join_of_equal_triangles_builds_one_fiber(self, monkeypatch):
+        J = projective_join([simplex(2)] * 4)
+        dec, builds = self._builds(monkeypatch, J)
+        assert (dec.k, len(dec.fibers), builds) == (3, 4, 1)
+
+    def test_distinct_segments_build_three_fibers(self, monkeypatch):
+        J = projective_join([segment(1), segment(2), segment(3)])
+        dec, builds = self._builds(monkeypatch, J)
+        assert (dec.k, len(dec.fibers), builds) == (2, 3, 3)
+        assert len({id(f) for f in dec.fibers}) == 3
+
+    def test_fibers_are_their_own_builds(self, join_corpus):
+        # each fiber's model points, recomputed from the reported projection:
+        # the vertices over e_i, in the Hermite model of the fiber over 0
+        for J, _k, _r in join_corpus:
+            dec = decompose_join(J)
+            rows, shift = dec.projection_matrix, dec.projection_shift
+            over = {}
+            for v in J._nverts:
+                img = tuple(la.dot(a, v) + s for a, s in zip(rows, shift))
+                over.setdefault(img, []).append(v)
+            fibers_pts = [over[e] for e in classifier._standard_simplex_vertices(dec.k)]
+            norm0 = la.affine_normalize(fibers_pts[0])
+            for F, pts in zip(dec.fibers, fibers_pts):
+                b = min(pts)
+                model = [
+                    tuple(la.dot(row, la.vec_sub(p, b)) for row in norm0.matrix)
+                    for p in pts
+                ]
+                fresh = Polytope.from_vertices(model)
+                assert F == fresh and F._nfacets == fresh._nfacets, J.vertices
+
+
 class TestImagesTestImpliesTheLinearChecks:
     """`_try_subset` decides on the images of the vertices alone. Whenever
     the last k facets of an exact-cover subset map the vertices onto the

@@ -18,6 +18,7 @@ from polyinv import (
     simplex,
     unimodular_equivalent,
 )
+from polyinv import polytope
 from polyinv.cli import CliConfig, run
 from polyinv.constructions import _generated
 from polyinv.errors import DomainError, InternalConsistencyError
@@ -206,6 +207,16 @@ class TestProjectiveJoin:
         J = projective_join([cube(2, 1)] * 4)
         assert J.dim == 2 + 3
 
+    def test_wrong_dimension_is_an_internal_error(self):
+        # a summand that records dimension 2 for a segment: the join of two
+        # copies is a square, not the 3-polytope that 2 + k promises
+        S = Polytope.from_vertices([(0,), (1,)])
+        S.dim = 2
+        wrong = "projective join has wrong dimension"
+        with pytest.raises(InternalConsistencyError, match=wrong) as err:
+            projective_join([S, S], name="J")
+        assert "(polytope J, face (0, 1, 2, 3))" in str(err.value)
+
     def test_single_summand(self):
         J = projective_join([segment(2)])
         assert J.vertices == segment(2).vertices
@@ -283,6 +294,18 @@ class TestGeneratedVertexCheck:
             _generated("demo", [(0,), (1,), (2,)], None)
         assert "(polytope unnamed, face (0, 1))" in str(err.value)
         assert _generated("demo", [(0,), (2,)], None).n_vertices == 2
+
+    def test_family_whose_hull_loses_a_facet(self, monkeypatch):
+        # without its first facet the square keeps only the two corners
+        # that the three remaining facets pin down
+        hull = polytope._hull_facet_normals
+        monkeypatch.setattr(
+            polytope, "_hull_facet_normals", lambda model, d: hull(model, d)[1:]
+        )
+        dropped = "cube construction dropped a point expected to be a vertex"
+        with pytest.raises(InternalConsistencyError, match=dropped) as err:
+            cube(2, 1)
+        assert "(polytope cube(2,1), face (0, 1))" in str(err.value)
 
 
 class TestDilate:

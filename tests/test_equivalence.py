@@ -10,6 +10,7 @@ from polyinv import (
     unimodular_equivalent,
 )
 from polyinv import linalg as la
+from polyinv.errors import InternalConsistencyError
 from polyinv.equivalence import paired_unimodular_map
 
 from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS
@@ -74,6 +75,18 @@ def _known_pairing(P, M, t):
     Q = P.unimodular_image(M, t)
     image = [la.vec_add(la.mat_vec(M, v), t) for v in P.vertices]
     return Q, [Q._nverts[Q.vertices.index(w)] for w in image]
+
+
+class TestFrameCheck:
+    def test_edge_directions_that_do_not_span(self):
+        # a corrupted edge graph leaves vertex 0 of the square one neighbour,
+        # too few for a frame of the plane
+        P = cube(2, 1)
+        P.edge_graph()[0] = P.edge_graph()[0][:1]
+        span = "edge directions at a vertex do not span"
+        with pytest.raises(InternalConsistencyError, match=span) as err:
+            find_unimodular_map(P, P)
+        assert "(polytope cube(2,1), face (0,))" in str(err.value)
 
 
 class TestPairedMap:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,20 @@ def degenerate_matrix(draw, max_dim=5):
     if draw(st.booleans()):
         M.insert(draw(st.integers(0, m)), list(M[draw(st.integers(0, m - 1))]))
     return M
+
+
+class TestMatVec:
+    def test_matches_index_loop(self):
+        # seeded shapes, zero rows and zero columns included, and entries
+        # past 64 bits
+        rng = random.Random(2718)
+        for _ in range(300):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            bound = rng.choice((3, 10**30))
+            A = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+            v = tuple(rng.randint(-bound, bound) for _ in range(n))
+            loop = tuple(sum(row[k] * v[k] for k in range(n)) for row in A)
+            assert la.mat_vec(A, v) == loop
 
 
 class TestRank:

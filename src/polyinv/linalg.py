@@ -243,8 +243,6 @@ def kernel_basis(M: Sequence[Sequence[int]]) -> list[Vector]:
     n = len(M[0]) if m else 0
     if n == 0:
         return []
-    if m == 0:
-        return [tuple(row) for row in identity(n)]
     return _left_kernel(transpose(M))
 
 
@@ -274,12 +272,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def primitive(v: Sequence[int]) -> Vector:
     """v divided by the gcd of its entries; direction is preserved."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
+    g = math.gcd(*v)
     if g == 0:
         raise DomainError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def lattice_index(gens: Sequence[Sequence[int]]) -> int:
@@ -346,7 +342,7 @@ class AffineNormalization(namedtuple("AffineNormalization", "matrix base basis d
 
     def forward(self, point: Sequence[int]) -> Vector:
         diff = vec_sub(point, self.base)
-        return tuple(dot(row, diff) for row in self.matrix)
+        return tuple(sum(map(operator.mul, row, diff)) for row in self.matrix)
 
     def backward(self, coords: Sequence[int]) -> Vector:
         out = list(self.base)
@@ -357,29 +353,37 @@ class AffineNormalization(namedtuple("AffineNormalization", "matrix base basis d
 
 
 def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
-    """Normalize a set of lattice points onto the full lattice of their span.
+    """Normalize lattice points onto the full lattice of their span."""
+    return affine_model(points)[0]
 
-    Hermite forms only. The transform rows of the HNF of diffs^T at its
-    zero rows are the span equations; the integer kernel of the equations
-    is the saturated direction lattice, whose row HNF is `basis` (W, or
-    I_n when there are no equations). The HNF transform of W^T brings it
-    to [I_d; 0], so its first d rows are `matrix`, with matrix . W^T =
-    I_d. `forward` therefore hits every lattice point of the affine span,
-    not only the sublattice generated by differences of the inputs.
-    Example: the segment from (0, 0) to (2, 2) normalizes to [0, 2] in Z,
-    its midpoint included.
-    """
+
+def affine_model(points: Sequence[Sequence[int]]) -> tuple:
+    """(norm, model, start): `affine_normalize(points)`, the images
+    `norm.forward(p)` from its round-trip check, and the first dim + 1
+    affinely independent point ids, greedily from the least point `base`.
+
+    Hermite forms only. Of the HNF of diffs^T, the transform rows at zero
+    rows are the span equations and the pivot columns the rest of `start`.
+    The equations' kernel is the saturated direction lattice; its row HNF
+    is `basis` (W, or I_n with no equations). The HNF transform of W^T
+    brings it to [I_d; 0], so its first d rows are `matrix`: A W^T = I_d.
+    `forward` is thus a bijection of the span's lattice points onto Z^d,
+    so `start` stays independent: (0, 0)-(2, 2) goes to [0, 2], midpoint too."""
     pts = [tuple(p) for p in points]
     if not pts:
         raise DomainError("affine_normalize needs at least one point")
     n = len(pts[0])
     base = min(pts)
-    diffs = [list(vec_sub(p, base)) for p in pts if p != base]
-    if not diffs or n == 0:
-        return AffineNormalization(matrix=(), base=base, basis=(), dim=0)
+    start = [pts.index(base)]
+    others = [i for i, p in enumerate(pts) if p != base]
+    if not others or n == 0:
+        return AffineNormalization((), base, (), 0), [()] * len(pts), start
 
-    equations = _left_kernel(transpose(diffs))
+    diffs = [vec_sub(pts[i], base) for i in others]
+    H, U = hermite_normal_form(transpose(diffs))
+    equations = [u for u, h in zip(U, H) if not any(h)]
     d = n - len(equations)
+    start += [others[next(j for j, x in enumerate(h) if x)] for h in H[:d]]
     W = identity(n)
     if equations:
         # the row lattice of the kernel is saturated; HNF makes W canonical
@@ -398,10 +402,10 @@ def affine_normalize(points: Sequence[Sequence[int]]) -> AffineNormalization:
         basis=tuple(tuple(r) for r in W),
         dim=d,
     )
-    for p in pts:
-        if norm.backward(norm.forward(p)) != p:
-            raise _broken_span("affine normalization failed to invert", pts)
-    return norm
+    model = [norm.forward(p) for p in pts]
+    if list(map(norm.backward, model)) != pts:
+        raise _broken_span("affine normalization failed to invert", pts)
+    return norm, model, start
 
 
 def _broken_span(identity: str, points: list[Vector]) -> InternalConsistencyError:

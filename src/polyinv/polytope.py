@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd
+from operator import mul
 
 from . import linalg as la
 from .errors import DomainError, InternalConsistencyError
@@ -99,25 +100,20 @@ class Face:
 class Polytope:
     """Convex hull of finitely many points of Z^n.
 
-    Immutable after construction. Use `Polytope.from_vertices` to build
-    one; duplicate and non-extreme input points are dropped. Derived
+    Immutable after construction but for `name`. Use `Polytope.from_vertices`
+    to build one; duplicate and non-extreme input points are dropped. Derived
     data (face lattice, direction lattice bases, volumes, counts) is cached
     lazily with idempotent values, so concurrent reads are safe.
     """
 
-    def __init__(self, *, _internal=False):
-        if not _internal:
-            raise DomainError("use Polytope.from_vertices to construct polytopes")
-        self.name: str | None = None
-        self.ambient_dim: int = 0
-        self.dim: int = 0
-        self.vertices: tuple[Point, ...] = ()
-        self._norm: la.AffineNormalization | None = None
-        self._nverts: tuple[Point, ...] = ()
-        self._nfacets: tuple[Halfspace, ...] = ()
-        # one mask per facet: bit i is set iff vertex i lies on the facet
-        self._incidence: tuple[int, ...] = ()
-        self._cache: dict = {}
+    def __init__(self):
+        raise DomainError("use Polytope.from_vertices to construct polytopes")
+
+    def __setattr__(self, field, value=None):  # deleting `name` unsets it
+        if field != "name":
+            raise AttributeError(f"cannot assign to or delete Polytope field {field!r}")
+        object.__setattr__(self, field, value)
+    __delattr__ = __setattr__
 
     # -- construction -------------------------------------------------
 
@@ -126,51 +122,47 @@ class Polytope:
         cls, points: Iterable[Sequence[int]], name: str | None = None
     ) -> "Polytope":
         pts = _clean_points(points)
-        norm = la.affine_normalize(pts)
+        norm, model, start = la.affine_model(pts)
         d = norm.dim
-        model = [norm.forward(p) for p in pts]
 
         facets: dict[Halfspace, int] = {}
+        # extreme points: the facets through a point meet in that point alone
+        meets = [(1 << len(pts)) - 1] * len(pts)
         if d > 0:
-            for a, zero in _hull_facet_normals(model, d):
-                vals = [la.dot(a, y) for y in model]
+            for a, zero in _hull_facet_normals(model, start):
+                vals = [sum(map(mul, a, y)) for y in model]
                 b = min(vals)
                 if zero != sum(1 << i for i, v in enumerate(vals) if v == b):
                     raise InternalConsistencyError(
                         f"hull zero mask is not the tight set (points {tuple(pts)})"
                     )
-                tight = _ids(zero)
-                diffs = [la.vec_sub(model[i], model[tight[0]]) for i in tight]
-                if la.rank(diffs) != d - 1:
+                # tight differences lie in a^perp: dropping j, a_j != 0, keeps rank
+                first, *rest = _ids(zero)
+                cols = zip(*[la.vec_sub(model[i], model[first]) for i in rest])
+                j = next(k for k, x in enumerate(a) if x)
+                if la.rank([c for k, c in enumerate(cols) if k != j]) != d - 1:
                     raise InternalConsistencyError(
                         f"hull ray is not a facet (points {tuple(pts)})"
                     )
                 facets[(a, b)] = zero
+                for i in (first, *rest):
+                    meets[i] &= zero
 
-        # extreme points: the facets through a point meet in that point alone
-        keep = []
-        for i in range(len(pts)):
-            meet = (1 << len(pts)) - 1
-            for t in facets.values():
-                if t >> i & 1:
-                    meet &= t
-            if meet == 1 << i:
-                keep.append(i)
-
+        keep = [i for i, meet in enumerate(meets) if meet == 1 << i]
         order = sorted(keep, key=lambda i: pts[i])
         facet_list = sorted(facets.items())
 
-        self = cls(_internal=True)
-        self.name = name
-        self.ambient_dim = len(pts[0])
-        self.dim = d
-        self.vertices = tuple(pts[i] for i in order)
-        self._norm = norm
-        self._nverts = tuple(model[i] for i in order)
-        self._nfacets = tuple(f for f, _ in facet_list)
-        self._incidence = tuple(
-            sum(1 << new for new, old in enumerate(order) if tight >> old & 1)
-            for _, tight in facet_list
+        self = cls.__new__(cls)  # fields are set past the refusing __setattr__
+        vars(self).update(
+            name=name, ambient_dim=len(pts[0]), dim=d, _norm=norm, _cache={},
+            vertices=tuple(pts[i] for i in order),
+            _nverts=tuple(model[i] for i in order),
+            _nfacets=tuple(f for f, _ in facet_list),
+            # one mask per facet: bit i is set iff vertex i lies on the facet
+            _incidence=tuple(
+                sum(1 << new for new, old in enumerate(order) if tight >> old & 1)
+                for _, tight in facet_list
+            ),
         )
         return self
 
@@ -278,6 +270,7 @@ class Polytope:
         facets, level_of, children, first = {top: 0}, {top: d}, {}, {}
         if any(t & top == top for t in incidence):
             raise self._broken("the top face lies on a facet")
+        pairs = [(t, 1 << j) for j, t in enumerate(incidence)]
         # levels[i] holds the faces of dimension d - i; it grows as it is walked
         levels = [[top]]
         for level in levels:
@@ -285,12 +278,12 @@ class Polytope:
             for s in level:
                 # s & t == s exactly for the facets t containing s
                 cuts: dict[int, int] = {}
-                for j, t in enumerate(incidence):
+                for t, bit in pairs:
                     if (cut := s & t) and cut != s:
-                        cuts[cut] = cuts.get(cut, 0) | 1 << j
+                        cuts[cut] = cuts.get(cut, 0) | bit
                 # larger cuts first: a cut is maximal unless a kid contains it
                 kids: list[int] = []
-                for c in sorted(cuts, key=int.bit_count, reverse=True):
+                for c in sorted(cuts, key=int.bit_count, reverse=True) if cuts else ():
                     for k in kids:
                         if c & k == c:
                             break
@@ -468,20 +461,17 @@ class Polytope:
             raise DomainError("field 'ambient_dim' must be a nonnegative integer")
         if not isinstance(verts, list) or not verts:
             raise DomainError("field 'vertices' must be a nonempty array")
-        for v in verts:
-            if (
-                not isinstance(v, list)
-                or len(v) != n
-                or any(not isinstance(c, int) or isinstance(c, bool) for c in v)
-            ):
-                raise DomainError(
-                    "field 'vertices' must contain integer points of the stated"
-                    " ambient dimension"
-                )
+        if any(not isinstance(v, list) or len(v) != n for v in verts):
+            raise DomainError(_BAD_POINTS)
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise DomainError("field 'name' must be a string")
-        return cls.from_vertices([tuple(v) for v in verts], name=name)
+        try:
+            return cls.from_vertices(verts, name=name)
+        except DomainError as e:  # the coordinates are checked there, once
+            if e.args != (_NOT_INTEGRAL,):
+                raise
+            raise DomainError(_BAD_POINTS) from None
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +487,18 @@ def _ids(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
+# a bad coordinate as `from_vertices` reports it, and as `from_dict` does
+_NOT_INTEGRAL = "vertices must have integer coordinates"
+_BAD_POINTS = (
+    "field 'vertices' must contain integer points of the stated ambient dimension"
+)
+
+
 def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
     pts = [tuple(p) for p in points]
     for t in pts:
         if any(not isinstance(c, int) or isinstance(c, bool) for c in t):
-            raise DomainError("vertices must have integer coordinates")
+            raise DomainError(_NOT_INTEGRAL)
         if len(t) != len(pts[0]):
             raise DomainError("vertices must share one ambient dimension")
     if not pts:
@@ -509,28 +506,29 @@ def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
     return list(dict.fromkeys(pts))
 
 
-def _hull_facet_normals(model: list[Point], d: int) -> list[tuple[Point, int]]:
+def _hull_facet_normals(model: list[Point], start: list[int]) -> list:
     """Primitive inward facet normals of the full dimensional hull of
     `model` in Z^d, by the double description method (Fukuda & Prodon,
     "Double description method revisited", 1996) in exact integers.
 
     A point v is homogenized as the row (v, -1), so the facets are the
     extreme rays (a, b) of the cone {(a, b) : <a, v> - b >= 0 for every
-    point}; it starts from the simplicial cone of `_start_cone`.
-    Each further row keeps the rays on its nonnegative side and joins
-    every adjacent pair that it separates. Adjacency is the combinatorial
-    test on zero sets, returned with the normals: bitmasks over the point
-    ids, exact since a new ray vanishes on an earlier row iff both parents do.
-    """
+    point}; it starts from the simplicial cone of `_start_cone` on the
+    affinely independent points `start`. Each further row keeps the rays
+    on its nonnegative side and joins every adjacent pair it separates,
+    by the combinatorial test on zero sets: bitmasks over the point ids,
+    returned with the normals, exact since a new ray vanishes on an
+    earlier row iff both parents do."""
+    d = len(start) - 1
     rows = [v + (-1,) for v in model]
-    start, rays = _start_cone(model, d)
+    rays = _start_cone(model, start)
     zeros = [sum(1 << i for i in start if i != j) for j in start]
 
     for i, row in enumerate(rows):
         if i in start:
             continue
         bit = 1 << i
-        vals = [la.dot(r, row) for r in rays]
+        vals = [sum(map(mul, r, row)) for r in rays]
         pos = [k for k, s in enumerate(vals) if s > 0]
         neg = [k for k, s in enumerate(vals) if s < 0]
         new_rays, new_zeros = [], []
@@ -556,15 +554,13 @@ def _hull_facet_normals(model: list[Point], d: int) -> list[tuple[Point, int]]:
     return [(la.primitive(r[:-1]), z) for r, z in zip(rays, zeros)]
 
 
-def _start_cone(model: list[Point], d: int) -> tuple[list[int], list[Point]]:
-    """The first d + 1 affinely independent point ids, greedily, and the
-    rays of the cone {x : M x >= 0} on their rows (v, -1): the columns of
-    adj(M), primitive and signed by the one row of M they miss."""
-    diffs = [la.vec_sub(v, model[0]) for v in model[1:]]
-    start = [0] + [i + 1 for i in la.independent_rows(diffs, d)]
+def _start_cone(model: list[Point], start: list[int]) -> list[Point]:
+    """The rays of the cone {x : M x >= 0} on the rows (v, -1) of the
+    affinely independent points `start`: the columns of adj(M), primitive
+    and signed by the one row of M they miss."""
     M = [model[i] + (-1,) for i in start]
     rays = []
     for row, col in zip(M, zip(*la.adjugate(M))):
         r = la.primitive(col)
         rays.append(r if la.dot(r, row) > 0 else tuple(-x for x in r))
-    return start, rays
+    return rays

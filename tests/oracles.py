@@ -807,17 +807,16 @@ def affine_basis(model, d):
     return basis
 
 
-def kernel_start_cone(model, d):
-    """The hull's start cone by one kernel per start row: the ids that
-    `affine_basis` picks and, for each start row (v, -1), the primitive
+def kernel_start_cone(model, start):
+    """The hull's start cone on the affinely independent points `start` by
+    one kernel per start row: for each start row (v, -1), the primitive
     kernel vector of the other start rows, signed to be positive on it."""
-    start = affine_basis(model, d)
     rows = [tuple(model[i]) + (-1,) for i in start]
     rays = []
     for j, row in enumerate(rows):
         (r,) = la.kernel_basis([rows[i] for i in range(len(rows)) if i != j])
         rays.append(r if la.dot(r, row) > 0 else tuple(-x for x in r))
-    return start, rays
+    return rays
 
 
 def edge_is_simple(P):

@@ -257,6 +257,8 @@ class TestDecompositionChecks:
         code, out = run(CliConfig(command="classify"), square)
         assert code == 3
         assert b"defect value inconsistent with k (polytope simplex(2)" in out
+        with pytest.raises(InternalConsistencyError, match="inconsistent with k"):
+            decompose_join(simplex(2))
 
 
 class TestClassify:
@@ -304,7 +306,8 @@ class TestNegativeC:
 
     def test_raises(self, monkeypatch):
         monkeypatch.setattr(classifier, "c", lambda P: -1)
-        with pytest.raises(InternalConsistencyError, match="negative on a Delzant"):
+        negative = r"^c = -1 is negative on a Delzant polytope \(polytope cube\(2,1\)"
+        with pytest.raises(InternalConsistencyError, match=negative):
             classify(cube(2, 1))
 
     def test_cli_exit_code(self, monkeypatch):

@@ -211,7 +211,7 @@ class TestProjectiveJoin:
         # a summand that records dimension 2 for a segment: the join of two
         # copies is a square, not the 3-polytope that 2 + k promises
         S = Polytope.from_vertices([(0,), (1,)])
-        S.dim = 2
+        object.__setattr__(S, "dim", 2)
         wrong = "projective join has wrong dimension"
         with pytest.raises(InternalConsistencyError, match=wrong) as err:
             projective_join([S, S], name="J")

@@ -24,7 +24,7 @@ from polyinv import (
     report,
     simplex,
 )
-from polyinv import invariants, volumes
+from polyinv import cli, invariants, volumes
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError, NotSimpleError
 from polyinv.invariants import c_grade_terms
@@ -228,7 +228,8 @@ class TestFPolynomial:
         P = cube(2, 1)
         f_polynomial(P)
         P._cache["nvol"][P.top_face().mask] = Fraction(5, 2)  # d_2 gets 3 * 5/2
-        with pytest.raises(InternalConsistencyError, match="not an integer") as err:
+        fraction = "f-polynomial coefficient d_2 is not an integer"
+        with pytest.raises(InternalConsistencyError, match=fraction) as err:
             f_polynomial(P)
         assert "polytope cube(2,1), face (0, 1, 2, 3)" in str(err.value)
 
@@ -299,6 +300,12 @@ class TestNamedErrors:
         assert code == 3, out
         return out.decode()
 
+    def _raises(self, call, match):
+        """The same check raised by the library call behind the command."""
+        with pytest.raises(InternalConsistencyError, match=match) as err:
+            call(Polytope.from_dict(self.DOC))
+        assert "polytope unit-square" in str(err.value)
+
     def test_c_star_differs_from_c(self, monkeypatch):
         monkeypatch.setattr(
             invariants, "_mults",
@@ -313,21 +320,28 @@ class TestNamedErrors:
         out = self._run(CliConfig(command="invariants"))
         assert "c_star != c on Delzant input" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out
+        self._raises(invariants.report, "c_star != c on Delzant input")
 
     def test_report_leading_coefficient(self, monkeypatch):
         monkeypatch.setattr(invariants, "f_polynomial", lambda P: [0, 0, 7])
         out = self._run(CliConfig(command="invariants"))
         assert "report has d_r != c" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out
+        self._raises(invariants.report, "report has d_r != c")
 
     def test_ehrhart_direct_count(self, monkeypatch):
         count = volumes.lattice_points
         monkeypatch.setattr(
             volumes, "lattice_points", lambda f, n: count(f, n) + (n > f.dim + 1)
         )
-        out = self._run(CliConfig(command="ehrhart", dilation_max=5))
+        config = CliConfig(command="ehrhart", dilation_max=5)
+        out = self._run(config)
         assert "Ehrhart polynomial disagrees with a direct count" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out
+        self._raises(
+            lambda P: cli._cmd_ehrhart(P, config),
+            "Ehrhart polynomial disagrees with a direct count",
+        )
 
     def test_ehrhart_polynomial_checked(self, monkeypatch):
         # 1 + 3n + n^2 in place of (n + 1)^2 = 1 + 2n + n^2

@@ -455,9 +455,10 @@ class TestNamedNormalizationErrors:
         monkeypatch.setattr(la, name, wrapped)
 
     def test_saturation_basis_lost_rank(self, monkeypatch):
-        # the second left kernel is the direction lattice of the span
-        self.corrupt_call(monkeypatch, "_left_kernel", 2, lambda rows: rows[:-1])
-        with pytest.raises(InternalConsistencyError) as err:
+        # the one left kernel is the direction lattice of the span; the
+        # span equations come straight from the first Hermite form
+        self.corrupt_call(monkeypatch, "_left_kernel", 1, lambda rows: rows[:-1])
+        with pytest.raises(InternalConsistencyError, match="lost rank") as err:
             la.affine_normalize(self.POINTS)
         assert str(err.value) == "saturation basis lost rank" + self.NAMED
 
@@ -465,13 +466,13 @@ class TestNamedNormalizationErrors:
         # the fourth Hermite form is that of W^T, after two left kernels and W's
         double = lambda HU: ([[2 * x for x in row] for row in HU[0]], HU[1])
         self.corrupt_call(monkeypatch, "hermite_normal_form", 4, double)
-        with pytest.raises(InternalConsistencyError) as err:
+        with pytest.raises(InternalConsistencyError, match="not saturated") as err:
             la.affine_normalize(self.POINTS)
         assert str(err.value) == "span lattice basis is not saturated" + self.NAMED
 
     def test_failed_to_invert(self, monkeypatch):
         monkeypatch.setattr(la.AffineNormalization, "backward", lambda self, y: ())
-        with pytest.raises(InternalConsistencyError) as err:
+        with pytest.raises(InternalConsistencyError, match="failed to invert") as err:
             la.affine_normalize(self.POINTS)
         assert str(err.value) == "affine normalization failed to invert" + self.NAMED
 

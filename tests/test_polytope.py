@@ -1,5 +1,8 @@
+import copy
 import gc
 import itertools
+import pickle
+import re
 import time
 import weakref
 from fractions import Fraction
@@ -228,27 +231,28 @@ class TestFaceLatticeGuardrails:
 
     def test_dropped_facet_misses_a_vertex(self):
         P = cube(2, 1)
-        P._incidence = P._incidence[1:]
+        object.__setattr__(P, "_incidence", P._incidence[1:])
         with pytest.raises(InternalConsistencyError, match="vertex missing") as err:
             P.face_lattice()
         assert "(polytope cube(2,1), face (0, 1, 2, 3))" in str(err.value)
 
     def test_face_at_two_levels(self):
         P = cube(2, 1)
-        P._incidence = (P._incidence[0] ^ 1,) + P._incidence[1:]
+        object.__setattr__(P, "_incidence", (P._incidence[0] ^ 1,) + P._incidence[1:])
         with pytest.raises(InternalConsistencyError, match="two levels") as err:
             P.face_lattice()
         assert "(polytope cube(2,1), face (0,))" in str(err.value)
 
     def test_euler_relation(self):
         P = hypersimplex(2, 4)
-        P._incidence = P._incidence[1:]
+        object.__setattr__(P, "_incidence", P._incidence[1:])
         with pytest.raises(InternalConsistencyError, match="Euler"):
             P.face_lattice()
 
     def test_top_face_on_a_facet(self):
         P = cube(2, 1)
-        P._incidence = ((1 << P.n_vertices) - 1,) + P._incidence[1:]
+        top = (1 << P.n_vertices) - 1
+        object.__setattr__(P, "_incidence", (top,) + P._incidence[1:])
         with pytest.raises(InternalConsistencyError, match="top face lies on a facet"):
             P.face_lattice()
 
@@ -329,19 +333,25 @@ def assert_hull_matches_subset_enumeration(pts):
 
 
 def assert_start_cone_matches_kernels(points):
-    """The hull's start cone on the normalized model of `points` equals the
-    one kernel per start row route: the same start rows and rays."""
+    """`linalg.affine_model` on `points` gives the normalization, the
+    `forward` images and, as the hull's start ids, the least point followed
+    by `independent_rows` of the model differences from it; the adjugate
+    start cone on those ids equals the one kernel per start row route."""
     pts = _clean_points(points)
-    norm = la.affine_normalize(pts)
-    model = [norm.forward(p) for p in pts]
+    norm, model, start = la.affine_model(pts)
+    assert norm == la.affine_normalize(pts), points
+    assert model == [norm.forward(p) for p in pts], points
+    least = pts.index(min(pts))
+    diffs = [la.vec_sub(y, model[least]) for y in model]
+    assert start == [least] + la.independent_rows(diffs, norm.dim), points
     if norm.dim:
-        assert _start_cone(model, norm.dim) == oracles.kernel_start_cone(
-            model, norm.dim
-        ), points
+        rays = oracles.kernel_start_cone(model, start)
+        assert _start_cone(model, start) == rays, points
 
 
 class TestStartCone:
-    """The adjugate start cone against the kernel route it replaced."""
+    """The Hermite pivot start ids against a greedy elimination, and the
+    adjugate start cone against the kernel route it replaced."""
 
     def test_corpora(self, small_corpus, join_corpus):
         for P in small_corpus + [J for J, _k, _r in join_corpus]:
@@ -535,6 +545,25 @@ class TestHullZeroMasks:
         with pytest.raises(InternalConsistencyError, match="hull ray is not a facet"):
             Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
 
+    def test_ray_through_an_edge_raises(self, monkeypatch):
+        # the rank of the tight set is taken with one coordinate dropped;
+        # two adjacent facet normals of the 3-cube sum to a ray tight on
+        # their common edge, of rank 1 where a facet needs 2
+        hull = polytope._hull_facet_normals
+
+        def with_an_edge_ray(model, start):
+            rays = hull(model, start)
+            (a, z), (b, w) = next(
+                (p, q)
+                for p, q in itertools.combinations(rays, 2)
+                if (p[1] & q[1]).bit_count() == 2
+            )
+            return rays + [(la.primitive(la.vec_add(a, b)), z & w)]
+
+        monkeypatch.setattr(polytope, "_hull_facet_normals", with_an_edge_ray)
+        with pytest.raises(InternalConsistencyError, match="hull ray is not a facet"):
+            Polytope.from_vertices(list(itertools.product((0, 1), repeat=3)))
+
 
 class TestTransforms:
     def test_dilate_identity(self):
@@ -636,6 +665,72 @@ class TestJsonRoundtrip:
     def test_malformed_documents(self, doc, field):
         with pytest.raises(DomainError, match=field):
             Polytope.from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_document_coordinate_message(self, bad):
+        # from_vertices checks each coordinate once; a document names its field
+        doc = {"ambient_dim": 2, "vertices": [[0, 0], [1, bad], [0, 1]]}
+        message = (
+            "field 'vertices' must contain integer points of the stated"
+            " ambient dimension"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Polytope.from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1", None])
+    def test_vertex_coordinate_message(self, bad):
+        message = "^vertices must have integer coordinates$"
+        with pytest.raises(DomainError, match=message):
+            Polytope.from_vertices([(0, 0), (1, bad), (0, 1)])
+
+    def test_other_domain_errors_keep_their_message(self, monkeypatch):
+        def refuse(points):
+            raise DomainError("some other fault")
+
+        monkeypatch.setattr(la, "affine_model", refuse)
+        with pytest.raises(DomainError, match="^some other fault$"):
+            Polytope.from_dict({"ambient_dim": 1, "vertices": [[0], [1]]})
+
+
+class TestImmutable:
+    """Every field but `name` refuses assignment and deletion."""
+
+    FIELDS = (
+        "ambient_dim", "dim", "vertices", "_norm", "_nverts", "_nfacets",
+        "_incidence", "_cache", "extra",
+    )
+
+    def test_fields_refuse_assignment(self):
+        P = cube(2, 1)
+        before = dict(vars(P))
+        for field in self.FIELDS:
+            with pytest.raises(AttributeError, match=f"field '{field}'"):
+                setattr(P, field, None)
+            if field in before:
+                with pytest.raises(AttributeError, match=f"field '{field}'"):
+                    delattr(P, field)
+        assert vars(P) == before
+
+    def test_name_is_writable(self):
+        P = Polytope.from_vertices([(0,), (2,)], name="segment")
+        P.name = "renamed"
+        assert P.name == "renamed" and "renamed" in repr(P)
+        del P.name
+        assert P.name is None and P.to_dict() == {
+            "ambient_dim": 1, "vertices": [[0], [2]]
+        }
+
+    def test_only_from_vertices_constructs(self):
+        with pytest.raises(DomainError, match="use Polytope.from_vertices"):
+            Polytope()
+
+    def test_pickle_and_copy(self):
+        P = hypersimplex(2, 4)
+        for Q in (pickle.loads(pickle.dumps(P)), copy.copy(P)):
+            assert Q == P and Q._nfacets == P._nfacets and Q._incidence == P._incidence
+            assert Q.f_vector == P.f_vector
+            with pytest.raises(AttributeError):
+                Q.dim = 0
 
 
 def assert_public_order(P):

@@ -93,13 +93,15 @@ class TestNormalizedVolume:
         from (0,0) to (2,0), where the true height of (0,0) is 6/3 = 2."""
         P = Polytope.from_vertices([(0, 0), (2, 0), (0, 3)], name="triangle_23")
         j = [a for a, _ in P._nfacets].index((-3, -2))
-        P._nfacets = P._nfacets[:j] + (((-3, -2), -b),) + P._nfacets[j + 1 :]
+        moved = P._nfacets[:j] + (((-3, -2), -b),) + P._nfacets[j + 1 :]
+        object.__setattr__(P, "_nfacets", moved)
         return P
 
     def test_non_integral_height_raises(self):
         P = self._offset_moved(5)
         edge = [f for f in P.faces(1) if f.vertices == ((0, 0), (2, 0))][0]
-        with pytest.raises(InternalConsistencyError, match="not an integer") as err:
+        height = r"height of the first vertex over the facet \(.*\) is not an integer"
+        with pytest.raises(InternalConsistencyError, match=height) as err:
             normalized_volume(edge)
         assert f"face {edge.vertex_ids}" in str(err.value)
         assert "polytope triangle_23" in str(err.value)
@@ -107,7 +109,8 @@ class TestNormalizedVolume:
     def test_nonpositive_height_raises(self):
         # the facet now passes through (0,0), the apex of the top face
         P = self._offset_moved(0)
-        with pytest.raises(InternalConsistencyError, match="not positive") as err:
+        height = r"height of the first vertex over the facet \(.*\) is not positive"
+        with pytest.raises(InternalConsistencyError, match=height) as err:
             normalized_volume(P)
         assert f"face {P.top_face().vertex_ids}" in str(err.value)
         assert "polytope triangle_23" in str(err.value)
@@ -505,10 +508,11 @@ class TestCountInOwnModel:
         d = next(j for j in range(1, 4) if j != a)
         (ac, bc), (ad, bd) = facets[c], facets[d]
         facets[c] = (tuple(x + y for x, y in zip(ac, ad)), bc + bd + 1)
-        P._nfacets = tuple(facets)
+        object.__setattr__(P, "_nfacets", tuple(facets))
         v = P.vertices[(incidence[a] & incidence[d]).bit_length() - 1]
+        no_face = r"^the point \(.*\) of 2P is tight on the facets of no face"
         for face in (P.faces(1)[0], P):
-            with pytest.raises(InternalConsistencyError, match="tight on the facets of no face") as err:
+            with pytest.raises(InternalConsistencyError, match=no_face) as err:
                 lattice_points(face, 2)
             assert f"point {tuple(2 * x for x in v)} of 2P" in str(err.value)
             assert "(polytope square, face (0, 1, 2, 3))" in str(err.value)

@@ -170,26 +170,27 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
         tuple(la.dot(a, v) + s for a, s in zip(proj_rows, shift))
         for v in P._nverts
     ]
-    if set(images) != set(_standard_simplex_vertices(k)):
+    simplex = _standard_simplex_vertices(k)
+    if set(images) != set(simplex):
         return None
 
+    # fiber i, over e_i, is the vertex complement of facet J[i], an (r - k)-face
     groups: dict[tuple, list[int]] = {}
     for vid, img in enumerate(images):
         groups.setdefault(img, []).append(vid)
-    # fiber i is the vertex complement of facet J[i], an (r - k)-face
-    fiber_vids = [groups[img] for img in _standard_simplex_vertices(k)]
 
     # shared normalization of the fiber spans: every fiber's differences
     # lie in the kernel of the k projection rows (rank k, as they map the
     # vertices onto the simplex), which fiber 0, an (r - k)-face there, spans
-    norm0 = la.affine_normalize([P._nverts[i] for i in fiber_vids[0]])
+    norm0 = la.affine_normalize([P._nverts[i] for i in groups[simplex[0]]])
     fibers = []
     built: dict[tuple, Polytope] = {}  # sorted model points -> their fiber
     # where each vertex lands in the join of the fibers: its fiber
     # coordinates, then the simplex vertex e_i of its fiber, as
     # `projective_join` lists it
     join_images: list = [None] * len(P._nverts)
-    for vids, e_i in zip(fiber_vids, _standard_simplex_vertices(k)):
+    for e_i in simplex:
+        vids = groups[e_i]
         pts = [P._nverts[i] for i in vids]
         b = min(pts)
         coords = [

@@ -109,7 +109,7 @@ def _json(value, indent: str) -> str:
     if isinstance(value, dict):
         items, ends = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
     elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner) for v in value], "[]"
+        items, ends = [str(v) if type(v) is int else _json(v, inner) for v in value], "[]"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not items:

@@ -53,10 +53,12 @@ def _rising(d: int, t: int) -> int:
 
 
 def c_t(P: Polytope, t: int) -> int:
-    """The alternating face-volume sum with weight (dim F + t)!."""
+    """The alternating face-volume sum with weight (dim F + t)!, once per t."""
     if t < 0:
         raise DomainError("t must be a nonnegative integer")
-    return sum(c_grade_terms(P, t))
+    if ("c_t", t) not in P._cache:
+        P._cache[("c_t", t)] = sum(c_grade_terms(P, t))
+    return P._cache[("c_t", t)]
 
 
 def c(P: Polytope) -> int:
@@ -66,21 +68,11 @@ def c(P: Polytope) -> int:
 
 def c_grade_terms(P: Polytope, t: int = 1) -> list[int]:
     """Per-dimension signed contributions to c_t, index k = 0..dim."""
-    r = P.dim
+    r, vols = P.dim, vol._face_tables(P)[0]
     return [
-        (-1) ** (r - k) * _rising(k, t) * s for k, s in enumerate(_volume_sums(P))
+        (-1) ** (r - k) * _rising(k, t) * sum([vols[s] for s in level])
+        for k, level in enumerate(P._lattice().levels)
     ]
-
-
-def _volume_sums(P: Polytope) -> list[int]:
-    """Sum of nvol(F) over the k-faces F, for k = 0..dim; one lattice walk
-    per polytope."""
-    if "nvol_sums" not in P._cache:
-        sums = [0] * (P.dim + 1)
-        for s, k in reversed(P._lattice().dims.items()):  # P first: it cuts most bases
-            sums[k] += vol._nvol(P, s)
-        P._cache["nvol_sums"] = sums
-    return P._cache["nvol_sums"]
 
 
 def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
@@ -93,24 +85,19 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
     if not P.is_simple():
         raise NotSimpleError("multiplicity defined only for simple polytopes")
     owner, s = vol._located(face)
-    if owner is not P:
+    if owner is not P and owner != P:
         raise DomainError("face does not belong to this polytope")
     return _mults(P)[s]
 
 
 def _mults(P: Polytope) -> dict[int, int]:
-    """Face mask -> multiplicity, from one top-down pass over the face
-    lattice: a facet G of a face F adds one facet normal a_t, and
-    mult(G) = mult(F) * g, where g is the content of a_t on the direction
-    lattice of F."""
+    """Face mask -> multiplicity, read off the cuts of the volume walk: a
+    facet G of a face F adds one facet normal a_t, and mult(G) = mult(F) * g,
+    g the content of a_t on the direction lattice of G's cutter F."""
     if "mult" not in P._cache:
-        out = {}
-        lattice = P._lattice()
-        for s in reversed(lattice.dims):  # each face after its parents
-            m = out.setdefault(s, 1)  # only P itself is unset here
-            for c in lattice.children[s]:
-                if c not in out:
-                    out[c] = m * P._content(s, c)[0]
+        out = {P._lattice().levels[-1][0]: 1}
+        for c, (s, g) in vol._face_tables(P)[1].items():  # top down
+            out[c] = out[s] * g
         P._cache["mult"] = out
     return P._cache["mult"]
 
@@ -126,10 +113,10 @@ def c_star(P: Polytope) -> Fraction:
     """
     if not P.is_simple():
         raise NotSimpleError("c_star defined only for simple polytopes")
-    r, mults = P.dim, _mults(P)
+    r, mults, vols = P.dim, _mults(P), vol._face_tables(P)[0]
     sums: Counter[int] = Counter()  # integer face terms, summed by multiplicity
     for s, k in P._lattice().dims.items():
-        sums[mults[s]] += (-1) ** (r - k) * (k + 1) * vol._nvol(P, s)
+        sums[mults[s]] += (-1) ** (r - k) * (k + 1) * vols[s]
     total = sum((Fraction(s, m) for m, s in sums.items()), Fraction(0))
     if P.is_delzant() and total != c(P):
         raise P._broken("c_star differs from c on a Delzant input")
@@ -141,16 +128,15 @@ def f_polynomial(P: Polytope) -> list[int]:
 
     S_k, the sum of L_F over the k-faces F, adds (-1)^(r-k) (k+1)! n^(r-k)
     S_k(n); it is fitted by `volumes._fit` through S_k(0) = f_k, the
-    volume sums and the carrier tables (`_sum_counts`)."""
-    r, lattice = P.dim, P._lattice()
-    lead, facets = [0] * (r + 1), [0] * (r + 1)
-    for s, k in reversed(lattice.dims.items()):  # P first: it cuts most bases
-        lead[k] += vol._nvol(P, s)
-        facets[k] += sum(vol._nvol(P, c) for c in lattice.children[s])
+    volume sums, added up apart from c's sums, and the carrier tables."""
+    r, vols = P.dim, vol._face_tables(P)[0]
+    levels, kids = P._lattice().levels, P._lattice().children
+    lead = [sum([vols[s] for s in level]) for level in levels]
+    facets = [sum([vols[c] for s in level for c in kids[s]]) for level in levels]
     counts = _sum_counts(P)
-    top = lattice.levels[-1][0]
+    top = levels[-1][0]
     out = [0] * (r + 1)
-    for k, level in enumerate(lattice.levels):
+    for k, level in enumerate(levels):
         fit = vol._fit(
             P, top, k, f"Ehrhart sum S_{k}", len(level), lead[k], facets[k],
             counts.get(k, []),

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import gcd
 from operator import mul
 
 from . import linalg as la
@@ -44,8 +43,8 @@ Point = tuple[int, ...]
 Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
 # The face lattice as ints, in the order of the top-down pass that builds it:
 # each dimension's face masks; mask -> child masks; mask -> facet mask;
-# mask -> dimension, ascending by dimension; mask -> the first parent found.
-_Lattice = namedtuple("_Lattice", "levels children facets dims parent")
+# mask -> dimension, ascending by dimension.
+_Lattice = namedtuple("_Lattice", "levels children facets dims")
 
 
 class Face:
@@ -102,7 +101,7 @@ class Polytope:
 
     Immutable after construction but for `name`. Use `Polytope.from_vertices`
     to build one; duplicate and non-extreme input points are dropped. Derived
-    data (face lattice, direction lattice bases, volumes, counts) is cached
+    data (face lattice, volumes, counts) is cached
     lazily with idempotent values, so concurrent reads are safe.
     """
 
@@ -255,7 +254,7 @@ class Polytope:
         )
 
     def _build_face_lattice(self) -> _Lattice:
-        """The face lattice in five int-only maps (`_Lattice`).
+        """The face lattice in four int-only maps (`_Lattice`).
 
         Built in one top-down pass on int bitmasks over the vertex ids, a
         level per dimension. The facets of a face F are the inclusion-maximal
@@ -267,7 +266,7 @@ class Polytope:
         """
         incidence, d, n = self._incidence, self.dim, len(self.vertices)
         top = (1 << n) - 1
-        facets, level_of, children, first = {top: 0}, {top: d}, {}, {}
+        facets, level_of, children = {top: 0}, {top: d}, {}
         if any(t & top == top for t in incidence):
             raise self._broken("the top face lies on a facet")
         pairs = [(t, 1 << j) for j, t in enumerate(incidence)]
@@ -291,7 +290,7 @@ class Polytope:
                         kids.append(c)
                 for c in kids:
                     if c not in level_of:
-                        first[c], facets[c], level_of[c] = s, facets[s] | cuts[c], dim
+                        facets[c], level_of[c] = facets[s] | cuts[c], dim
                         below.append(c)
                     elif level_of[c] != dim:
                         what = "face appears at two levels of the face lattice"
@@ -308,7 +307,7 @@ class Polytope:
             raise self._broken("Euler relation failed")
         levels.reverse()
         dims = dict(reversed(level_of.items()))
-        return _Lattice(levels, children, facets, dims, first)
+        return _Lattice(levels, children, facets, dims)
 
     def faces(self, k: int) -> tuple[Face, ...]:
         """The k-dimensional faces, sorted by vertex ids; empty outside 0..dim."""
@@ -320,7 +319,9 @@ class Polytope:
 
     def face_children(self, face: Face) -> tuple[Face, ...]:
         """Faces of dimension face.dim - 1 contained in `face`, sorted by
-        vertex ids."""
+        vertex ids; `face` must be a face of this polytope or of an equal one."""
+        if face.owner is not self and face.owner != self:
+            raise DomainError("face does not belong to this polytope")
         kids = self._lattice().children[face.mask]
         return tuple(map(self._face, sorted(kids, key=_ids)))
 
@@ -404,38 +405,6 @@ class Polytope:
             if sum(Fraction(ai) * xi for ai, xi in zip(a, x)) < b:
                 return False
         return True
-
-    # -- direction lattices (used by volumes and multiplicities) ----------
-
-    def _content(self, s: int, c: int) -> tuple[int, int]:
-        """(g, t) for a facet c of the face s, both vertex masks: t is the
-        lowest facet of P through c and not s, and g >= 1 the content of
-        its normal a_t on the face's direction lattice lin(s) cap Z^dim.
-
-        Each face keeps one basis of its lattice. A basis vector v is
-        stored as its values A v on the facet normals, so a_t . v is its
-        entry t, and `linalg.cut_basis` at t gives g and a basis of the
-        child's lattice, kept if the child has none yet. P's basis is
-        I_dim (the columns of A); a face that no cut has reached yet is
-        cut from its first parent.
-        """
-        lattice, bases = self._lattice(), self._cache.setdefault("bases", {})
-        facets = lattice.facets
-        if s not in bases:
-            if facets[s]:
-                self._content(lattice.parent[s], s)
-            else:
-                bases[s] = list(zip(*(a for a, _ in self._nfacets)))
-        new = facets[c] & ~facets[s]
-        t = (new & -new).bit_length() - 1
-        basis = bases[s]
-        if c in bases:
-            g = gcd(*[v[t] for v in basis])
-        else:
-            g, bases[c] = la.cut_basis(basis, t)
-        if g < 1:
-            raise self._broken(f"facet {t} is constant on the face", s)
-        return g, t
 
     # -- serialization ------------------------------------------------------
 

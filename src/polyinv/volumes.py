@@ -11,10 +11,10 @@ lexicographically smallest vertex of F, nvol(F) is the sum of
 h_G * nvol(G) over the facets G of F avoiding v, where h_G is the
 lattice height of v over aff(G) in the lattice of aff(F). If the facet
 t of P cuts G from F and its normal a_t has content g on F's direction
-lattice, then h_G = (<a_t, v> - b_t) / g. Each face keeps one basis of
-its direction lattice in P's model (`Polytope._content`), so no face
-needs a coordinate change and no simplex is enumerated; the recursion is
-memoized and visits only the faces that the asked volume needs.
+lattice, then h_G = (<a_t, v> - b_t) / g. One level walk (`_walk`) cuts
+each face's lattice basis (values on the facet normals, in P's model)
+once from a parent's and reads the heights top down, then sums bottom
+up; no face needs a coordinate change and no simplex is enumerated.
 
 Ehrhart data are read from volumes and the carrier tables of nP alone
 (`_fit`). For a k-face F, L_F(0) = 1, the leading coefficient is the
@@ -44,9 +44,8 @@ direct counts.
 
 from __future__ import annotations
 
-
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence, Union
 
 from . import linalg as la
@@ -65,43 +64,87 @@ def _located(obj: FaceLike) -> tuple[Polytope, int]:
 
 def normalized_volume(face: FaceLike) -> int:
     """nvol(F) = dim(F)! * Vol(F), an exact nonnegative integer."""
-    return _nvol(*_located(face))
+    P, s = _located(face)
+    return _volumes(P, [s])[s]
 
 
-def _nvol(P: Polytope, s: int) -> int:
-    """nvol(F) of the face F with vertex mask s, memoized: the pyramids from
-    F's first vertex v over the facets G of F that avoid v add h_G * nvol(G),
-    where h_G is the lattice height of v over G in lin(F) cap Z^dim."""
-    nvol = P._cache.setdefault("nvol", {})
-    if s not in nvol:
-        lattice = P._lattice()
-        low = s & -s  # vertices are lex sorted
-        v = P._nverts[low.bit_length() - 1]
-        total = 0 if lattice.dims[s] else 1
-        for c in lattice.children[s]:
-            if c & low:
-                continue
-            g, t = P._content(s, c)
-            a, b = P._nfacets[t]
-            h, rem = divmod(la.dot(a, v) - b, g)
-            if rem or h < 1:
-                what = "not an integer" if rem else "not positive"
-                raise P._broken(
-                    f"height of the first vertex over the facet"
-                    f" {_ids(c)} is {what}",
-                    s,
-                )
-            total += h * _nvol(P, c)
+def _volumes(P: Polytope, masks: Sequence[int]) -> dict[int, int]:
+    """Face mask -> nvol, P's table, to which one walk adds the faces
+    `masks`, all of one dimension, if any is missing."""
+    vols = P._cache.get("nvol", {})
+    missing = [s for s in masks if s not in vols]
+    if missing:
+        levels = [[] for _ in range(P._lattice().dims[missing[0]])] + [missing]
+        vols = P._cache.setdefault("nvol", {})
+        vols.update(_walk(P, levels, every=False)[0])
+    return vols
+
+
+def _face_tables(P: Polytope) -> tuple[dict, dict]:
+    """`_walk` over every face of P, once: its two tables."""
+    if "cuts" not in P._cache:
+        vols, cuts = _walk(P, P._lattice().levels, every=True)
+        P._cache.update(nvol=vols, cuts=cuts)  # nvol: a one-face table's superset
+    return P._cache["nvol"], P._cache["cuts"]
+
+
+def _walk(P: Polytope, levels: list[list[int]], every: bool) -> tuple[dict, dict]:
+    """(face mask -> nvol, face mask -> (cutter, content)) on the faces of
+    `levels`, by dimension, and, unless they are `every` face, on the
+    pyramid children they reach, appended there. Top down, a face F cuts
+    the basis of each child it reaches first (of any child if `every`) and
+    reads the height of its first vertex over each pyramid child, with the
+    content g of the cut or the gcd of the facet's values on F's basis;
+    bottom up, nvol(F) sums h_G * nvol(G)."""
+    facets, children, nfacets = P._lattice().facets, P._lattice().children, P._nfacets
+    cuts, pyramids, bases = {}, {}, {}  # (cutter, g), [(child, h)], basis
+    for k in range(len(levels) - 1, 0, -1):
+        for s in levels[k]:
+            if s in bases:
+                basis = bases.pop(s)
+            else:  # reached by no walked face: P's basis (cached), cut at s's facets
+                basis = P._cache.setdefault("basis", list(zip(*(a for a, _ in nfacets))))
+                for t in _ids(facets[s]):
+                    basis = la.cut_basis(basis, t)[1]
+            low, fs = s & -s, facets[s]  # vertices are lex sorted
+            v = P._nverts[low.bit_length() - 1]
+            pyramids[s] = pyramid = []
+            for c in children[s]:
+                if c & low and (not every or c in cuts):
+                    continue
+                new = facets[c] & ~fs
+                t = (new & -new).bit_length() - 1
+                if c in cuts:
+                    g = gcd(*[w[t] for w in basis])
+                else:
+                    g, bases[c] = la.cut_basis(basis, t)
+                    cuts[c] = (s, g)
+                    if not every:
+                        levels[k - 1].append(c)
+                if g < 1:
+                    raise P._broken(f"facet {t} is constant on the face", s)
+                if c & low:
+                    continue
+                a, b = nfacets[t]
+                h, rem = divmod(la.dot(a, v) - b, g)
+                if rem or h < 1:
+                    raise P._broken(
+                        f"height of the first vertex over the facet {_ids(c)} is"
+                        f" {'not an integer' if rem else 'not positive'}", s,
+                    )
+                pyramid.append((c, h))
+    vols = dict.fromkeys(levels[0], 1)
+    for s, pyramid in reversed(pyramids.items()):  # each face after its children
+        vols[s] = total = sum([h * vols[c] for c, h in pyramid])
         if total <= 0:
             raise P._broken("face has nonpositive volume", s)
-        nvol[s] = total
-    return nvol[s]
+    return vols, cuts
 
 
 def volume(face: FaceLike) -> Fraction:
     """Lattice volume Vol(F) = nvol(F) / dim(F)! as an exact rational."""
     P, s = _located(face)
-    return Fraction(_nvol(P, s), factorial(P._lattice().dims[s]))
+    return Fraction(_volumes(P, [s])[s], factorial(P._lattice().dims[s]))
 
 
 def lattice_points(face: FaceLike, n: int) -> int:
@@ -141,8 +184,9 @@ def ehrhart_polynomial(face: FaceLike) -> tuple[Fraction, ...]:
         ((-1) ** k * _carriers(P, n).get(s, 0), _count(P, s, n))
         for n in range(1, (k - 1) // 2 + 1)
     ]
-    facets = sum(_nvol(P, c) for c in lattice.children[s])
-    coeffs = _fit(P, s, k, "Ehrhart", 1, _nvol(P, s), facets, values)
+    lead, vols = _volumes(P, [s])[s], _volumes(P, lattice.children[s])
+    facets = sum([vols[c] for c in lattice.children[s]])
+    coeffs = _fit(P, s, k, "Ehrhart", 1, lead, facets, values)
     return tuple(Fraction(a, factorial(k)) for a in coeffs)
 
 

@@ -13,8 +13,8 @@ library routines (the Smith normal form, the Smith route to
 `affine_normalize`, the per-face normalized box scan, the per-face
 interval scan in P's model, the hull's start cone from one kernel per
 start row, simplicity and the Delzant test on the edge graph, the
-per-face `Fraction` sum of `c_star`, volumes from a
-pulling triangulation, the structural Ehrhart build by reciprocity over
+per-face `Fraction` sum of `c_star`, multiplicities from each face's
+content against its first parent, volumes from a pulling triangulation, the structural Ehrhart build by reciprocity over
 each face's proper faces and the two matrix helpers it all used,
 `mat_mul` and `unimodular_inverse`) as differential oracles, and the
 carrier table of nP by a walk of the dilated box in P's model; those
@@ -850,6 +850,28 @@ def fraction_c_star(P):
     )
 
 
+def first_parent_mults(P):
+    """Face mask -> multiplicity by the route the volume walk's cuts
+    replaced: top down, a face's multiplicity is its first parent's (the
+    first face of the lattice pass to list it as a child) times the
+    content of the facet that cuts it from that parent, the gcd of the
+    facet's values on a basis of the parent's direction lattice, here P's
+    basis cut at each facet through the parent."""
+    lattice = P._lattice()
+    out = {lattice.levels[-1][0]: 1}
+    for level in reversed(lattice.levels):
+        for s in level:
+            basis = list(zip(*(a for a, _ in P._nfacets)))
+            for j in P._face(s).facet_ids:
+                basis = la.cut_basis(basis, j)[1]
+            for c in lattice.children[s]:
+                if c not in out:
+                    new = lattice.facets[c] & ~lattice.facets[s]
+                    t = (new & -new).bit_length() - 1
+                    out[c] = out[s] * gcd(*[v[t] for v in basis])
+    return out
+
+
 def pulling_triangulation(P, face, memo=None):
     """Pulling triangulation of a face, as tuples of vertex ids: cones
     from its lexicographically smallest vertex over the triangulations of
@@ -948,11 +970,11 @@ def _face_ehrhart(P, s, k, boundary, scale):
             )
     else:
         coeffs[0] = scale
-    coeffs[k] = vol._nvol(P, s) * (scale // factorial(k))
+    coeffs[k] = normalized_volume(P._face(s)) * (scale // factorial(k))
     if k > 0:
         # c_{k-1} = (1/2) sum of Vol(G) over the facets G, with the facet
         # volumes read afresh rather than from the boundary sum
-        facets = sum(vol._nvol(P, c) for c in P._lattice().children[s])
+        facets = sum(normalized_volume(P._face(c)) for c in P._lattice().children[s])
         if 2 * coeffs[k - 1] != facets * (scale // factorial(k - 1)):
             raise P._broken(
                 f"Ehrhart c_{k - 1} differs from half the facet volumes", s

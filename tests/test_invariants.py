@@ -149,6 +149,17 @@ class TestMult:
         P = simplex(3)
         assert mult(P, P) == 1
 
+    def test_face_of_an_equal_polytope(self):
+        P, Q = (Polytope.from_vertices(TRIANGLE_HALF) for _ in range(2))
+        assert [mult(P, f) for f in Q.face_lattice()] == [2, 1, 1, 1, 1, 1, 1]
+        assert mult(P, Q) == 1
+
+    def test_face_of_another_polytope_raises(self):
+        # the 2-simplex's edge has a mask of the square's, 0b11
+        P, f = cube(2, 1), simplex(2).faces(1)[0]
+        with pytest.raises(DomainError, match="^face does not belong to this polytope$"):
+            mult(P, f)
+
     def test_requires_simple(self):
         with pytest.raises(NotSimpleError):
             mult(hypersimplex(2, 4), hypersimplex(2, 4).top_face())

@@ -198,6 +198,21 @@ class TestFaceIdentity:
         assert f.owner is not g.owner
         assert f == g and hash(f) == hash(g)
 
+    def test_children_of_a_face_of_an_equal_polytope(self):
+        P, Q = cube(3, 1), cube(3, 1)
+        for f in Q.face_lattice():
+            assert P.face_children(f) == Q.face_children(f)
+
+    def test_children_of_a_face_of_another_polytope_raise(self):
+        # the 2-simplex's edge (0,0)-(1,0) has the mask 0b11 of the unit
+        # square's edge (0,0)-(0,1), and its top face the mask 0b111, which
+        # is no face of the square
+        square, triangle = cube(2, 1), simplex(2)
+        edge = next(f for f in triangle.faces(1) if f.mask == 0b11)
+        for face in (edge, triangle.top_face()):
+            with pytest.raises(DomainError, match="^face does not belong to this polytope$"):
+                square.face_children(face)
+
 
 class TestFreedByRefcount:
     """No cache of a polytope points back at it, so dropping the last

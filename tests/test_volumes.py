@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from polyinv import (
     Polytope,
+    c,
+    classify,
     cube,
     f_polynomial,
     hypersimplex,
@@ -17,7 +19,7 @@ from polyinv import (
     simplex,
     volume,
 )
-from polyinv import linalg as la, volumes
+from polyinv import invariants, linalg as la, volumes
 from polyinv.cli import CliConfig, run
 from polyinv.errors import DomainError, InternalConsistencyError
 from polyinv.volumes import ehrhart_polynomial, interpolate
@@ -29,6 +31,16 @@ from conftest import (
     lattice_polytopes,
     unimodular_maps,
 )
+
+
+def every_face(face):
+    """c(P) of the face's polytope, which walks every face of P."""
+    return c(face if isinstance(face, Polytope) else face.owner)
+
+
+# each check of the volume walk fires on both of its routes: one face's
+# pyramid closure and every face
+ROUTES = (normalized_volume, every_face)
 
 
 class TestNormalizedVolume:
@@ -98,48 +110,55 @@ class TestNormalizedVolume:
         return P
 
     def test_non_integral_height_raises(self):
-        P = self._offset_moved(5)
-        edge = [f for f in P.faces(1) if f.vertices == ((0, 0), (2, 0))][0]
-        height = r"height of the first vertex over the facet \(.*\) is not an integer"
-        with pytest.raises(InternalConsistencyError, match=height) as err:
-            normalized_volume(edge)
-        assert f"face {edge.vertex_ids}" in str(err.value)
-        assert "polytope triangle_23" in str(err.value)
+        # the edge's height is 5/3, and 5/2 on the edge from (0,0) to
+        # (0,3); the walk over every face reaches the first edge first, so
+        # both routes name it
+        for route in ROUTES:
+            P = self._offset_moved(5)
+            edge = [f for f in P.faces(1) if f.vertices == ((0, 0), (2, 0))][0]
+            height = r"height of the first vertex over the facet \(.*\) is not an integer"
+            with pytest.raises(InternalConsistencyError, match=height) as err:
+                route(edge)
+            assert f"face {edge.vertex_ids}" in str(err.value)
+            assert "polytope triangle_23" in str(err.value)
 
     def test_nonpositive_height_raises(self):
         # the facet now passes through (0,0), the apex of the top face
-        P = self._offset_moved(0)
-        height = r"height of the first vertex over the facet \(.*\) is not positive"
-        with pytest.raises(InternalConsistencyError, match=height) as err:
-            normalized_volume(P)
-        assert f"face {P.top_face().vertex_ids}" in str(err.value)
-        assert "polytope triangle_23" in str(err.value)
+        for route in ROUTES:
+            P = self._offset_moved(0)
+            height = r"height of the first vertex over the facet \(.*\) is not positive"
+            with pytest.raises(InternalConsistencyError, match=height) as err:
+                route(P)
+            assert f"face {P.top_face().vertex_ids}" in str(err.value)
+            assert "polytope triangle_23" in str(err.value)
 
     def test_nonpositive_volume_raises(self):
         # every facet left under the top face contains its first vertex,
-        # so the pyramids from that vertex add nothing
-        P = Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)], name="sq")
-        top = P.top_face().mask
-        children = P._lattice().children
-        children[top] = [c for c in children[top] if c & top & -top]
-        with pytest.raises(
-            InternalConsistencyError,
-            match=r"^face has nonpositive volume \(polytope sq, face \(0, 1, 2, 3\)\)$",
-        ):
-            normalized_volume(P)
+        # so the pyramids from that vertex add nothing; the other edges,
+        # no longer children of any face, get their bases from P's
+        for route in ROUTES:
+            P = Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)], name="sq")
+            top = P.top_face().mask
+            children = P._lattice().children
+            children[top] = [c for c in children[top] if c & top & -top]
+            with pytest.raises(
+                InternalConsistencyError,
+                match=r"^face has nonpositive volume \(polytope sq, face \(0, 1, 2, 3\)\)$",
+            ):
+                route(P)
 
     def test_constant_facet_raises(self):
         # a direction lattice basis of zero vectors: no facet normal takes
         # a nonzero value on it, so the cut's content is 0
-        P = cube(3, 1)
-        top = P.top_face().mask
-        P._cache["bases"] = {top: [(0,) * P.n_facets] * 3}
-        with pytest.raises(
-            InternalConsistencyError,
-            match=r"^facet 0 is constant on the face"
-            r" \(polytope cube\(3,1\), face \(0, 1, 2, 3, 4, 5, 6, 7\)\)$",
-        ):
-            normalized_volume(P)
+        for route in ROUTES:
+            P = cube(3, 1)
+            P._cache["basis"] = [(0,) * P.n_facets] * 3
+            with pytest.raises(
+                InternalConsistencyError,
+                match=r"^facet 0 is constant on the face"
+                r" \(polytope cube\(3,1\), face \(0, 1, 2, 3, 4, 5, 6, 7\)\)$",
+            ):
+                route(P)
 
     def test_additive_over_a_split(self):
         # [0,3] x [0,1] split along x = 1 into two rectangles
@@ -582,3 +601,44 @@ class TestPyramidVolumes:
             assert normalized_volume(g) == normalized_volume(f)
             if P.is_simple():
                 assert mult(Q, g) == mult(P, f)
+
+
+class TestLevelWalk:
+    """The walk over every face against the walk over one face's pyramid
+    closure, its cuts' multiplicities against each face's content on its
+    first parent (`oracles.first_parent_mults`), and one cut per face."""
+
+    @staticmethod
+    def _check(P):
+        vols = volumes._face_tables(P)[0]
+        fresh = Polytope.from_vertices(P.vertices)
+        for s in fresh._lattice().dims:
+            fresh._cache.pop("nvol", None)  # this face's closure alone
+            assert normalized_volume(fresh._face(s)) == vols[s], (P.name, s)
+        assert "cuts" not in fresh._cache
+        assert invariants._mults(P) == oracles.first_parent_mults(P), P.name
+
+    def test_corpora(self, small_corpus, simple_corpus, conjecture_corpus, join_corpus):
+        joins = [J for J, _k, _r in join_corpus]
+        for P in small_corpus + simple_corpus + conjecture_corpus + joins:
+            self._check(P)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_hull_inputs(self, pts):
+        self._check(Polytope.from_vertices(pts))
+
+    def test_classify_cuts_each_basis_once(
+        self, monkeypatch, small_corpus, simple_corpus, join_corpus
+    ):
+        cut, calls = la.cut_basis, []
+        monkeypatch.setattr(la, "cut_basis", lambda b, t: calls.append(t) or cut(b, t))
+        corpus = small_corpus + simple_corpus + [J for J, _k, _r in join_corpus]
+        kinds = set()
+        for P in corpus:
+            P = Polytope.from_vertices(P.vertices, name=P.name)
+            calls.clear()
+            kinds.add(classify(P).verdict)
+            # every face but P is cut once, from its first parent
+            assert len(calls) == len(P._lattice().dims) - 1, P.name
+        assert {"defect", "non-defect", "non-Delzant"} <= kinds

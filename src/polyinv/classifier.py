@@ -40,8 +40,7 @@ subset in facet order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Optional
 
 from . import linalg as la
@@ -61,28 +60,25 @@ def _k_min(r: int) -> int:
     return max(2, (r + 2) // 2)  # ceil((r+1)/2)
 
 
-@dataclass(frozen=True)
-class JoinDecomposition:
-    """A certified projective-join structure of a defect polytope.
+class JoinDecomposition(namedtuple(
+    "JoinDecomposition", "k defect projection_matrix projection_shift fibers",
+)):
+    """A certified projective-join structure of a defect polytope; immutable.
 
-    `projection` is the integer linear map plus shift (acting on the
-    polytope's normalized model Z^r) that carries the polytope onto the
-    standard unimodular k-simplex; `fibers` are the preimages of the
-    simplex vertices (fiber 0 over the origin, fiber i over e_i), given
-    as full-dimensional polytopes in one shared normalization so that
-    `projective_join(fibers)` rebuilds the input up to unimodular
-    equivalence. Equal fibers are one shared, immutable `Polytope`, so
-    setting `.name` on one sets it on all of them. `defect` is 2k - r;
-    the unimodular r-simplex is the case k = r, with point fibers and
-    defect r.
+    `projection_matrix` and `projection_shift` are the integer linear map
+    plus shift (acting on the polytope's normalized model Z^r) that carries
+    the polytope onto the standard unimodular k-simplex; `fibers` are the
+    preimages of the simplex vertices (fiber 0 over the origin, fiber i
+    over e_i), given as full-dimensional polytopes in one shared
+    normalization so that `projective_join(fibers)` rebuilds the input up
+    to unimodular equivalence. Equal fibers are one shared, immutable
+    `Polytope`, so setting `.name` on one sets it on all of them. `defect`
+    is 2k - r; the unimodular r-simplex is the case k = r, with point
+    fibers and defect r.
     `to_dict` writes the image as the document of `simplex(k)`.
     """
 
-    k: int
-    defect: int
-    projection_matrix: tuple[tuple[int, ...], ...]
-    projection_shift: tuple[int, ...]
-    fibers: tuple[Polytope, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         simplex_vertices = sorted(_standard_simplex_vertices(self.k))
@@ -222,20 +218,17 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
     )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Verdict on one polytope: defect structure or the reason there is none."""
+class ClassificationReport(namedtuple(
+    "ClassificationReport",
+    "dim is_simple is_delzant c verdict c_star defect dual_degree decomposition notes",
+    defaults=(None, None, None, None, ()),
+)):
+    """Verdict on one polytope: defect structure or the reason there is none;
+    immutable. `verdict` is defect, non-defect, non-Delzant or
+    dim-1-degenerate; `c_star` is a Fraction or None, `decomposition` a
+    `JoinDecomposition` or None, `notes` a str tuple."""
 
-    dim: int
-    is_simple: bool
-    is_delzant: bool
-    c: int
-    verdict: str  # defect | non-defect | non-Delzant | dim-1-degenerate
-    c_star: Optional[Fraction] = None
-    defect: Optional[int] = None
-    dual_degree: Optional[int] = None
-    decomposition: Optional[JoinDecomposition] = None
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -255,59 +248,34 @@ class ClassificationReport:
 
 
 def classify(P: Polytope) -> ClassificationReport:
-    """Full defect classification of an arbitrary integral polytope."""
+    """Full defect classification of an arbitrary integral polytope: one
+    report, whose verdict is read off c once c and c_star are known."""
     simple = P.is_simple()
     delzant = P.is_delzant()
     cval = c(P)
     cstar = c_star(P) if simple else None
-
+    notes, dec, degree = (), None, None
     if P.dim == 1:
-        return ClassificationReport(
-            dim=1,
-            is_simple=simple,
-            is_delzant=delzant,
-            c=cval,
-            c_star=cstar,
-            verdict="dim-1-degenerate",
-            notes=("dimension-1 polytopes sit outside the defect classification",),
-        )
-    if not delzant:
-        notes = []
+        verdict = "dim-1-degenerate"
+        notes = ("dimension-1 polytopes sit outside the defect classification",)
+    elif not delzant:
+        verdict = "non-Delzant"
         if cval == 0:
-            notes.append(
+            notes = (
                 "c = 0 on a non-Delzant polytope: candidate join structure "
-                "outside the certified classification"
+                "outside the certified classification",
             )
-        return ClassificationReport(
-            dim=P.dim,
-            is_simple=simple,
-            is_delzant=False,
-            c=cval,
-            c_star=cstar,
-            verdict="non-Delzant",
-            notes=tuple(notes),
-        )
-    if cval == 0 and P.dim >= 2:
+    elif cval == 0 and P.dim >= 2:
+        verdict = "defect"
         dec = decompose_join(P)
-        return ClassificationReport(
-            dim=P.dim,
-            is_simple=simple,
-            is_delzant=True,
-            c=0,
-            c_star=cstar,
-            verdict="defect",
-            defect=dec.defect,
-            decomposition=dec,
-        )
-    if cval < 0:
+    elif cval < 0:
         # c >= 0 on every Delzant polytope by the source paper
         raise P._broken(f"c = {cval} is negative on a Delzant polytope")
+    else:
+        verdict = "non-defect"
+        degree = dual_degree(P)
     return ClassificationReport(
-        dim=P.dim,
-        is_simple=simple,
-        is_delzant=True,
-        c=cval,
-        c_star=cstar,
-        verdict="non-defect",
-        dual_degree=dual_degree(P),
+        P.dim, simple, delzant, cval, verdict, c_star=cstar,
+        defect=None if dec is None else dec.defect, dual_degree=degree,
+        decomposition=dec, notes=notes,
     )

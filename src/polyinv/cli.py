@@ -30,7 +30,7 @@ FORMAT_VERSION = 1
 
 
 class CliConfig:
-    """The settings of one command; `run` may set `family`."""
+    """The settings of one command."""
 
     def __init__(self, command: str, input_path: str | None = None,
                  output_format: str = "json", t_range: tuple[int, ...] = (0, 1, 2, 3, 4),
@@ -212,9 +212,8 @@ def _cmd_classify(P: Polytope) -> dict:
     return doc
 
 
-def _cmd_construct(config: CliConfig) -> dict:
+def _cmd_construct(config: CliConfig, fam: str | None) -> dict:
     from . import constructions as con
-    fam = config.family
     if fam is None:
         raise DomainError("construct requires --family")
     if fam == "simplex":
@@ -260,10 +259,10 @@ def run(config: CliConfig, input_bytes: bytes = b"") -> tuple[int, bytes]:
 
 def _run(config: CliConfig, input_bytes: bytes) -> tuple[int, bytes]:
     try:
-        if config.command in ("construct", "join"):
-            if config.command == "join":
-                config.family = "join"
-            doc = _cmd_construct(config)
+        if config.command == "construct":
+            doc = _cmd_construct(config, config.family)
+        elif config.command == "join":
+            doc = _cmd_construct(config, "join")
         else:
             P = _parse_polytope(input_bytes)
             if config.command == "info":

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 
@@ -240,7 +239,7 @@ class TestDecompositionChecks:
 
         def altered(P, J, k):
             dec = real(P, J, k)
-            return dec and dataclasses.replace(dec, **changes)
+            return dec and dec._replace(**changes)
 
         monkeypatch.setattr(classifier, "_try_subset", altered)
 

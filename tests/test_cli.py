@@ -69,6 +69,15 @@ class TestConstruct:
         assert repdoc["verdict"] == "defect"
         assert repdoc["defect"] == 1
 
+    def test_join_leaves_the_config_as_given(self, tmp_path):
+        p = tmp_path / "seg.json"
+        p.write_bytes(run_ok(CliConfig(command="construct", family="cube", dim=1, length=2)))
+        summands = (str(p), str(p))
+        config = CliConfig("join", summands=summands)
+        out = run_ok(config)
+        assert config.family is None
+        assert out == run_ok(CliConfig("construct", family="join", summands=summands))
+
     def test_product_needs_two_summands(self, tmp_path):
         p = tmp_path / "seg.json"
         p.write_bytes(

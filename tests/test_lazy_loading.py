@@ -1,5 +1,5 @@
-"""What each CLI command loads, the package's lazy exports, and the four
-plain classes that replaced dataclasses on the shared path."""
+"""What each CLI command loads, the package's lazy exports, and the plain
+classes and namedtuple records that replaced dataclasses in the library."""
 
 import copy
 import json
@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import polyinv
-from polyinv import AffineNormalization, InvariantReport, cube, simplex
+from polyinv import (
+    AffineNormalization, ClassificationReport, InvariantReport, JoinDecomposition,
+    classify, cube, simplex,
+)
 from polyinv.cli import CliConfig
 from polyinv.errors import DomainError
 from polyinv.linalg import affine_normalize
@@ -66,7 +69,9 @@ class TestModulesPerCommand:
         assert not mods & {"polyinv.classifier", "polyinv.equivalence", "dataclasses"}
 
     def test_classify(self, square_file):
-        assert "polyinv.classifier" in loaded_by("classify", square_file)
+        mods = loaded_by("classify", square_file)
+        assert "polyinv.classifier" in mods
+        assert "dataclasses" not in mods
 
     def test_run_loads_every_command(self):
         # the in-process entry holds one module set whatever it has run
@@ -152,3 +157,37 @@ class TestPlainClasses:
         assert rep.to_dict()["c_t"] == {"1": 3}
         with pytest.raises(AttributeError):
             rep.c = 4
+
+    def test_classification_report(self):
+        rep = ClassificationReport(dim=2, is_simple=True, is_delzant=True, c=1, verdict="non-defect")
+        assert (rep.c_star, rep.defect, rep.dual_degree, rep.decomposition, rep.notes) == (
+            None, None, None, None, ()
+        )
+        assert rep == ClassificationReport(2, True, True, 1, "non-defect", None, None, None, None, ())
+        assert repr(rep).startswith("ClassificationReport(dim=2, is_simple=True,")
+        with pytest.raises(AttributeError):
+            rep.verdict = "defect"
+        with pytest.raises(AttributeError):
+            rep.extra = 1
+        assert list(rep.to_dict()) == [
+            "dim", "is_simple", "is_delzant", "c", "c_star", "verdict", "defect",
+            "dual_degree", "decomposition", "notes",
+        ]
+        full = classify(simplex(2))
+        assert pickle.loads(pickle.dumps(full)) == full == copy.copy(full)
+        assert full._replace(notes=("n",)).notes == ("n",) and full.notes == ()
+
+    def test_join_decomposition(self):
+        dec = classify(simplex(2)).decomposition
+        assert isinstance(dec, JoinDecomposition)
+        fields = dict(k=2, defect=2, projection_matrix=dec.projection_matrix,
+                      projection_shift=dec.projection_shift, fibers=dec.fibers)
+        assert dec == JoinDecomposition(**fields) == JoinDecomposition(*fields.values())
+        with pytest.raises(TypeError):
+            JoinDecomposition(k=2, defect=2)
+        with pytest.raises(AttributeError):
+            dec.k = 3
+        with pytest.raises(AttributeError):
+            dec.extra = 1
+        assert list(dec.to_dict()) == ["k", "defect", "projection", "simplex_image", "fibers"]
+        assert pickle.loads(pickle.dumps(dec)) == dec == copy.copy(dec)

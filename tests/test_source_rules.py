@@ -1,5 +1,6 @@
 """The package's standing rules, read off its source with `ast`: it
-imports nothing outside the standard library and itself, it has no
+imports nothing outside the standard library and itself, nor
+`dataclasses` (its records are namedtuples and plain classes), it has no
 floating point (no float or complex literal, no call to `float`), only
 `polytope.py` makes `Face` objects (no call to `Face` or to a method
 that hands Faces out anywhere else), and every identity check has a test
@@ -28,7 +29,8 @@ def violations(tree):
         else:
             modules = []
         for name in modules:
-            if name.split(".")[0] not in sys.stdlib_module_names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names or top == "dataclasses":
                 yield node.lineno, f"import of {name}"
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             yield node.lineno, f"literal {node.value!r}"
@@ -69,6 +71,17 @@ def test_rules_are_seen():
         "z = float(1)",
     ])
     assert [line for line, _ in violations(ast.parse(source))] == [1, 2, 5, 6, 7]
+
+
+def test_dataclasses_rule_is_seen():
+    source = "\n".join([
+        "from dataclasses import dataclass",
+        "import dataclasses",
+        "from collections import namedtuple",
+    ])
+    assert list(violations(ast.parse(source))) == [
+        (1, "import of dataclasses"), (2, "import of dataclasses"),
+    ]
 
 
 @pytest.mark.parametrize(

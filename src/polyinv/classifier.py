@@ -30,7 +30,7 @@ predicts where each vertex of P lands in the projective join of the
 fibers (its fiber coordinates followed by its simplex vertex); those
 images are the join's vertices by construction, so the join is not
 rebuilt. The unimodular map fixed by that correspondence is solved and
-checked on every vertex (`equivalence.paired_unimodular_map`), and its
+checked on every vertex (`linalg.paired_unimodular_map`), and its
 last k rows must be the reported projection. This check, not the
 search, is the correctness anchor. Ties are broken by one rule for
 every k: maximal k first, then the lexicographically smallest facet
@@ -44,10 +44,10 @@ from collections import namedtuple
 from typing import Optional
 
 from . import linalg as la
-from .constructions import check_strongly_isomorphic
-from .equivalence import paired_unimodular_map
+from .constructions import _simplex_vertices, check_strongly_isomorphic
 from .errors import DomainError
 from .invariants import c, c_star, dual_degree
+from .linalg import paired_unimodular_map
 from .polytope import Polytope
 
 
@@ -81,7 +81,7 @@ class JoinDecomposition(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        simplex_vertices = sorted(_standard_simplex_vertices(self.k))
+        simplex_vertices = sorted(_simplex_vertices(self.k))
         return {
             "k": self.k,
             "defect": self.defect,
@@ -142,11 +142,6 @@ def _exact_cover(masks, full) -> bool:
     return seen == full
 
 
-def _standard_simplex_vertices(k: int) -> list:
-    """0, e_1, ..., e_k in Z^k."""
-    return [tuple(int(j == i - 1) for j in range(k)) for i in range(k + 1)]
-
-
 def _certified(P, images, proj_rows, shift) -> bool:
     """True when a unimodular map sends P's i-th model vertex to images[i],
     with the projection as its last k rows (the join's simplex coordinates)."""
@@ -166,7 +161,7 @@ def _try_subset(P, J, k) -> Optional[JoinDecomposition]:
         tuple(la.dot(a, v) + s for a, s in zip(proj_rows, shift))
         for v in P._nverts
     ]
-    simplex = _standard_simplex_vertices(k)
+    simplex = _simplex_vertices(k)
     if set(images) != set(simplex):
         return None
 

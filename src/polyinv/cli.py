@@ -12,7 +12,8 @@ format_version field; output is byte-identical across runs on the same
 input.
 
 Exit codes: 0 success, 1 malformed input (the message names the
-offending field), 2 domain error (violated precondition), 3 internal
+offending field), 2 domain error (violated precondition, or a result
+with more digits than Python's int-to-str limit), 3 internal
 consistency violation (a broken exact identity, always a bug).
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import DomainError, InternalConsistencyError
@@ -29,32 +31,29 @@ from .polytope import Polytope
 FORMAT_VERSION = 1
 
 
-class CliConfig:
-    """The settings of one command."""
+class CliConfig(namedtuple(
+    "CliConfig",
+    "command input_path output_format t_range dilation_max family dim k n length summands name",
+    defaults=(None, "json", (0, 1, 2, 3, 4), 1, None, None, None, None, 1, (), None),
+)):
+    """The settings of one command; immutable, and checked whenever one is
+    made, by `_replace` and `_make` too."""
 
-    def __init__(self, command: str, input_path: str | None = None,
-                 output_format: str = "json", t_range: tuple[int, ...] = (0, 1, 2, 3, 4),
-                 dilation_max: int = 1, family: str | None = None, dim: int | None = None,
-                 k: int | None = None, n: int | None = None, length: int | None = None,
-                 summands: tuple[str, ...] = (), name: str | None = None):
-        if dilation_max < 1:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.dilation_max < 1:
             raise DomainError("--dilations must be >= 1")
-        if not t_range:
+        if not self.t_range:
             raise DomainError("--t-range must name at least one t")
-        if any(t < 0 for t in t_range):
+        if any(t < 0 for t in self.t_range):
             raise DomainError("--t-range entries must be nonnegative")
-        self.command = command
-        self.input_path = input_path
-        self.output_format = output_format
-        self.t_range = t_range
-        self.dilation_max = dilation_max
-        self.family = family
-        self.dim = dim
-        self.k = k
-        self.n = n
-        self.length = length
-        self.summands = summands
-        self.name = name
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _InputError(Exception):
@@ -66,6 +65,8 @@ def _parse_polytope(data: bytes) -> Polytope:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise _InputError(f"input is not valid JSON: {e}") from e
+    except (RecursionError, ValueError) as e:  # too deep, or an int past the digit limit
+        raise _InputError(f"input: {e}") from e
     try:
         return Polytope.from_dict(doc)
     except DomainError as e:
@@ -117,23 +118,18 @@ def _json(value, indent: str) -> str:
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
-def _render_table(value, lines: list[str], prefix: str):
+def _render_table(value: dict | list, lines: list[str], prefix: str):
+    """A dict's entries under their keys, a list's under `[i]`."""
     if isinstance(value, dict):
-        for key, sub in value.items():
-            if isinstance(sub, (dict, list)) and not _is_flat_list(sub):
-                lines.append(f"{prefix}{key}:")
-                _render_table(sub, lines, prefix + "  ")
-            else:
-                lines.append(f"{prefix}{key} = {_scalar(sub)}")
-    elif isinstance(value, list):
-        for i, sub in enumerate(value):
-            if isinstance(sub, (dict, list)) and not _is_flat_list(sub):
-                lines.append(f"{prefix}[{i}]:")
-                _render_table(sub, lines, prefix + "  ")
-            else:
-                lines.append(f"{prefix}[{i}] = {_scalar(sub)}")
+        items = value.items()
     else:
-        lines.append(f"{prefix}{_scalar(value)}")
+        items = ((f"[{i}]", sub) for i, sub in enumerate(value))
+    for label, sub in items:
+        if isinstance(sub, (dict, list)) and not _is_flat_list(sub):
+            lines.append(f"{prefix}{label}:")
+            _render_table(sub, lines, prefix + "  ")
+        else:
+            lines.append(f"{prefix}{label} = {_scalar(sub)}")
 
 
 def _is_flat_list(value) -> bool:
@@ -223,7 +219,7 @@ def _cmd_construct(config: CliConfig, fam: str | None) -> dict:
     elif fam == "cube":
         if config.dim is None:
             raise DomainError("cube requires --dim")
-        P = con.cube(config.dim, config.length if config.length is not None else 1)
+        P = con.cube(config.dim, config.length)
     elif fam == "hypersimplex":
         if config.k is None or config.n is None:
             raise DomainError("hypersimplex requires --k and --n")
@@ -275,13 +271,22 @@ def _run(config: CliConfig, input_bytes: bytes) -> tuple[int, bytes]:
                 doc = _cmd_classify(P)
             else:
                 raise DomainError(f"unknown command {config.command!r}")
+        return 0, _render(doc, config.output_format)
     except _InputError as e:
         return 1, (f"error: {e}\n").encode("utf-8")
     except DomainError as e:
         return 2, (f"error: {e}\n").encode("utf-8")
     except InternalConsistencyError as e:
         return 3, (f"internal error: {e}\n").encode("utf-8")
-    return 0, _render(doc, config.output_format)
+    except ValueError as e:
+        # a result whose decimal digits pass Python's int-to-str limit
+        if "integer string conversion" not in str(e):
+            raise
+        return 2, (
+            f"error: a result has more than sys.get_int_max_str_digits() = "
+            f"{sys.get_int_max_str_digits()} digits; set PYTHONINTMAXSTRDIGITS "
+            f"higher, or to 0 for no limit\n"
+        ).encode("utf-8")
 
 
 def _t_range(text: str) -> tuple[int, ...]:
@@ -302,23 +307,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each dest is a CliConfig field; an option left out is None, and
+    # CliConfig supplies its default
     def add_common(p, takes_input=True):
         if takes_input:
             p.add_argument(
-                "input",
+                "input_path",
                 nargs="?",
-                default=None,
+                metavar="input",
                 help="polytope JSON file (default: standard input)",
             )
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        p.add_argument("--format", choices=("json", "table"), dest="output_format")
 
     for name in ("info", "invariants", "ehrhart", "classify"):
         p = sub.add_parser(name)
         add_common(p)
         if name == "invariants":
-            p.add_argument("--t-range", type=_t_range, default=(0, 1, 2, 3, 4))
+            p.add_argument("--t-range", type=_t_range)
         if name == "ehrhart":
-            p.add_argument("--dilations", type=int, default=1)
+            p.add_argument("--dilations", type=int, dest="dilation_max", metavar="DILATIONS")
 
     p = sub.add_parser("construct")
     add_common(p, takes_input=False)
@@ -328,38 +335,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--len", type=int, dest="length")
-    p.add_argument("--summand", action="append", default=[], dest="summands")
+    p.add_argument("--summand", action="append", dest="summands")
     p.add_argument("--name")
 
     p = sub.add_parser("join")
     add_common(p, takes_input=False)
-    p.add_argument("--summand", action="append", default=[], dest="summands")
+    p.add_argument("--summand", action="append", dest="summands")
     p.add_argument("--name")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_format=args.format,
-        t_range=tuple(getattr(args, "t_range", (0, 1, 2, 3, 4))),
-        dilation_max=getattr(args, "dilations", 1),
-        family=getattr(args, "family", None),
-        dim=getattr(args, "dim", None),
-        k=getattr(args, "k", None),
-        n=getattr(args, "n", None),
-        length=getattr(args, "length", None),
-        summands=tuple(getattr(args, "summands", ())),
-        name=getattr(args, "name", None),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = CliConfig(**{k: v for k, v in vars(args).items() if v is not None})
     except DomainError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -44,13 +44,18 @@ def _generated(family: str, verts: list, name: str | None) -> Polytope:
     return P
 
 
+def _simplex_vertices(r: int) -> list[tuple[int, ...]]:
+    """0, e_1, ..., e_r in Z^r: the vertices of the standard r-simplex,
+    the heights at which `projective_join` places its summands, and so the
+    images the classifier predicts for a join's fibers."""
+    return [tuple(int(j == i - 1) for j in range(r)) for i in range(r + 1)]
+
+
 def simplex(r: int) -> Polytope:
     """The standard r-simplex conv{0, e_1, ..., e_r}; a point for r = 0."""
     if r < 0:
         raise DomainError("simplex dimension must be nonnegative")
-    verts = [tuple(0 for _ in range(r))]
-    verts += [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    return _generated("simplex", verts, f"simplex({r})")
+    return _generated("simplex", _simplex_vertices(r), f"simplex({r})")
 
 
 def cube(m: int, n: int) -> Polytope:
@@ -137,9 +142,7 @@ def projective_join(
     check_strongly_isomorphic(summands)
     k = len(summands) - 1
     verts = [
-        v + tuple(1 if t == i - 1 else 0 for t in range(k))
-        for i, P in enumerate(summands)
-        for v in P.vertices
+        v + e_i for P, e_i in zip(summands, _simplex_vertices(k)) for v in P.vertices
     ]
     out = _generated("projective join", verts, name)
     if out.dim != summands[0].dim + k:

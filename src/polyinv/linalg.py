@@ -7,7 +7,10 @@ modules, are `fractions.Fraction`.
 
 One fraction-free elimination, `_eliminate` (Bareiss), serves `det`,
 `rank`, `adjugate`, `solve` and `independent_rows`; `adjugate` and
-`solve` add one back substitution scaled by its last pivot. One extended
+`solve` add one back substitution scaled by its last pivot.
+`paired_unimodular_map` is the one place where a unimodular affine map
+is solved, by `solve`, from where each point goes, and checked on every
+pair. One extended
 gcd step, `cut_basis`, splits a lattice along a coordinate, and
 `lattice_index` is a product of its contents.
 
@@ -235,6 +238,30 @@ def is_unimodular(M: Sequence[Sequence[int]]) -> bool:
     if any(len(row) != n for row in M):
         return False
     return abs(det(M)) == 1
+
+
+def paired_unimodular_map(
+    src: Sequence[Sequence[int]], dst: Sequence[Sequence[int]]
+) -> tuple[Matrix, Vector] | None:
+    """A pair (M, t), M integral with det +-1, such that M src[i] + t =
+    dst[i] for every i, or None if there is none.
+
+    The points of `src` must affinely span their space. M is solved from
+    a frame at src[0], differences src[i] - src[0] of full rank that the
+    elimination pivots on, and then checked on every pair.
+    """
+    p0, q0 = src[0], dst[0]
+    X = solve([vec_sub(p, p0) for p in src[1:]], [vec_sub(q, q0) for q in dst[1:]], len(p0))
+    if X is None:
+        return None
+    M = transpose(X)
+    if not is_unimodular(M):
+        return None
+    t = vec_sub(q0, mat_vec(M, p0))
+    for p, q in zip(src, dst):
+        if vec_add(mat_vec(M, p), t) != tuple(q):
+            return None
+    return M, t
 
 
 def kernel_basis(M: Sequence[Sequence[int]]) -> list[Vector]:

@@ -47,8 +47,8 @@ Halfspace = tuple[tuple[int, ...], int]  # (inward normal, offset): <a, x> >= b
 _Lattice = namedtuple("_Lattice", "levels children facets dims")
 
 
-class Face:
-    """A nonempty face of a polytope; immutable, its fields are slots.
+class Face(namedtuple("Face", "owner mask facet_mask dim")):
+    """A nonempty face of a polytope; immutable.
 
     Identified by its vertex mask: bit i of `mask` is set iff the owner's
     vertex i lies on it; bit j of `facet_mask` is set iff facet j contains
@@ -56,29 +56,10 @@ class Face:
     them into sorted ids. Dimension is the face's level in the graded face
     lattice, which equals the affine dimension of its vertex set. Faces
     are made afresh on each call from the owner's int-only lattice; two
-    are equal iff their masks and their owners are.
+    are equal iff their owners and masks are, which fix the other fields.
     """
 
-    __slots__ = ("owner", "mask", "facet_mask", "dim")
-
-    def __init__(self, owner: Polytope, mask: int, facet_mask: int, dim: int):
-        for field, value in zip(Face.__slots__, (owner, mask, facet_mask, dim)):
-            object.__setattr__(self, field, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r} of a Face")
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # pickle and copy through __init__
-        return Face, (self.owner, self.mask, self.facet_mask, self.dim)
-
-    def __eq__(self, other):
-        return isinstance(other, Face) and self.mask == other.mask and (
-            self.owner is other.owner or self.owner == other.owner
-        )
-
-    def __hash__(self):
-        return hash(self.mask)
+    __slots__ = ()
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:

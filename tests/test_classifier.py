@@ -146,7 +146,7 @@ class TestEachFiberBuiltOnce:
             for v in J._nverts:
                 img = tuple(la.dot(a, v) + s for a, s in zip(rows, shift))
                 over.setdefault(img, []).append(v)
-            fibers_pts = [over[e] for e in classifier._standard_simplex_vertices(dec.k)]
+            fibers_pts = [over[e] for e in classifier._simplex_vertices(dec.k)]
             norm0 = la.affine_normalize(fibers_pts[0])
             for F, pts in zip(dec.fibers, fibers_pts):
                 b = min(pts)
@@ -173,7 +173,7 @@ class TestImagesTestImpliesTheLinearChecks:
         dim_of = {f.mask: f.dim for f in P.face_lattice()}
         complements = [full & ~t for t in P._incidence]
         for k in range(r, classifier._k_min(r) - 1, -1):
-            simplex_vertices = set(classifier._standard_simplex_vertices(k))
+            simplex_vertices = set(classifier._simplex_vertices(k))
             candidates = [
                 j for j, m in enumerate(complements) if dim_of.get(m) == r - k
             ]

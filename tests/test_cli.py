@@ -260,6 +260,134 @@ class TestMainEntry:
         assert "input" in capsys.readouterr().err
 
 
+class TestMainMatchesRun:
+    """Flags given through `main` reach the command as the `CliConfig`
+    fields they fill, and `--help` names each option and its metavar."""
+
+    # (argv, CliConfig fields); "IN" stands for a file holding TRI and "SEG"
+    # for one holding a segment
+    CASES = [
+        (["info", "IN"], dict(command="info")),
+        (["info", "IN", "--format", "table"], dict(command="info", output_format="table")),
+        (["invariants", "IN"], dict(command="invariants")),
+        (["invariants", "--t-range", "1..2", "IN"], dict(command="invariants", t_range=(1, 2))),
+        (["invariants", "IN", "--t-range", "3", "--format", "table"],
+         dict(command="invariants", t_range=(3,), output_format="table")),
+        (["ehrhart", "IN"], dict(command="ehrhart")),
+        (["ehrhart", "--dilations", "3", "IN"], dict(command="ehrhart", dilation_max=3)),
+        (["classify", "--format", "table", "IN"], dict(command="classify", output_format="table")),
+        (["construct", "--family", "simplex", "--dim", "2", "--name", "s"],
+         dict(command="construct", family="simplex", dim=2, name="s")),
+        (["construct", "--family", "cube", "--dim", "2"],
+         dict(command="construct", family="cube", dim=2)),
+        (["construct", "--family", "cube", "--dim", "2", "--len", "3"],
+         dict(command="construct", family="cube", dim=2, length=3)),
+        (["construct", "--family", "hypersimplex", "--k", "2", "--n", "4", "--format", "table"],
+         dict(command="construct", family="hypersimplex", k=2, n=4, output_format="table")),
+        (["construct", "--family", "product", "--summand", "SEG", "--summand", "SEG"],
+         dict(command="construct", family="product", summands=("SEG", "SEG"))),
+        (["construct", "--family", "join", "--summand", "SEG", "--summand", "SEG", "--name", "j"],
+         dict(command="construct", family="join", summands=("SEG", "SEG"), name="j")),
+        (["join", "--summand", "SEG", "--summand", "SEG", "--summand", "SEG", "--format", "table"],
+         dict(command="join", summands=("SEG",) * 3, output_format="table")),
+    ]
+
+    @pytest.mark.parametrize("argv, fields", CASES, ids=[" ".join(a) for a, _ in CASES])
+    def test_same_stdout(self, argv, fields, tmp_path, capsys):
+        from polyinv.cli import main
+
+        paths = {"IN": tmp_path / "tri.json", "SEG": tmp_path / "seg.json"}
+        paths["IN"].write_bytes(TRI)
+        paths["SEG"].write_text(json.dumps({"ambient_dim": 1, "vertices": [[0], [2]]}))
+        argv = [str(paths.get(a, a)) for a in argv]
+        if "summands" in fields:
+            fields = {**fields, "summands": tuple(str(paths[s]) for s in fields["summands"])}
+        assert main(argv) == 0
+        data = b"" if fields["command"] in ("construct", "join") else TRI
+        assert capsys.readouterr().out.encode() == run_ok(CliConfig(**fields), data)
+
+    # each command's usage line: the metavars name the options (input,
+    # DILATIONS), not the CliConfig fields they fill
+    USAGES = {
+        "": "usage: polyinv [-h] {info,invariants,ehrhart,classify,construct,join} ...",
+        "info": "usage: polyinv info [-h] [--format {json,table}] [input]",
+        "invariants": (
+            "usage: polyinv invariants [-h] [--format {json,table}] [--t-range T_RANGE] [input]"
+        ),
+        "ehrhart": (
+            "usage: polyinv ehrhart [-h] [--format {json,table}] [--dilations DILATIONS] [input]"
+        ),
+        "classify": "usage: polyinv classify [-h] [--format {json,table}] [input]",
+        "construct": (
+            "usage: polyinv construct [-h] [--format {json,table}] --family"
+            " {simplex,cube,hypersimplex,product,join} [--dim DIM] [--k K] [--n N]"
+            " [--len LENGTH] [--summand SUMMANDS] [--name NAME]"
+        ),
+        "join": (
+            "usage: polyinv join [-h] [--format {json,table}] [--summand SUMMANDS] [--name NAME]"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(USAGES))
+    def test_help_lists_the_options(self, command, monkeypatch, capsys):
+        from polyinv.cli import main
+
+        monkeypatch.setenv("COLUMNS", "1000")  # the usage on one line
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == self.USAGES[command]
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default int<->str digit limit, 4300, for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+class TestPastPythonLimits:
+    """Input past Python's nesting or digit limits is malformed input, and
+    a result past the digit limit a domain error; neither ends in a
+    traceback."""
+
+    def test_deep_nesting(self):
+        code, out = run(CliConfig(command="info"), b"[" * 100000 + b"]" * 100000)
+        assert code == 1 and out.startswith(b"error: input: ")
+
+    def test_long_integer_literal(self, int_digit_limit):
+        doc = '{"ambient_dim": 1, "vertices": [[0], [' + "9" * 5000 + "]]}"
+        code, out = run(CliConfig(command="info"), doc.encode())
+        assert code == 1 and out.startswith(b"error: input: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_long_result(self, fmt, int_digit_limit, tmp_path, capsys):
+        from polyinv.cli import main
+
+        # c_t of the unit triangle at t = 2000 has more than 4300 digits
+        p = tmp_path / "tri.json"
+        p.write_bytes(TRI)
+        assert main(["invariants", "--t-range", "2000", "--format", fmt, str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "sys.get_int_max_str_digits() = 4300" in captured.err
+        assert "PYTHONINTMAXSTRDIGITS" in captured.err
+
+    def test_other_value_errors_are_not_caught(self, monkeypatch):
+        from polyinv import cli
+
+        def broken(P):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            run(CliConfig(command="info"), TRI)
+
+
 HAND_MADE_DOCS = [
     {},
     [],

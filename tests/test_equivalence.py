@@ -11,7 +11,7 @@ from polyinv import (
 )
 from polyinv import linalg as la
 from polyinv.errors import InternalConsistencyError
-from polyinv.equivalence import paired_unimodular_map
+from polyinv.linalg import paired_unimodular_map
 
 from conftest import TRIANGLE_HALF, UNIMODULAR_TRANSFORMS
 

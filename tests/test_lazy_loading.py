@@ -1,5 +1,5 @@
-"""What each CLI command loads, the package's lazy exports, and the plain
-classes and namedtuple records that replaced dataclasses in the library."""
+"""What each CLI command loads, the package's lazy exports, and the
+library's value classes, each a namedtuple record."""
 
 import copy
 import json
@@ -72,6 +72,8 @@ class TestModulesPerCommand:
         mods = loaded_by("classify", square_file)
         assert "polyinv.classifier" in mods
         assert "dataclasses" not in mods
+        # the classifier's certificate map lives in linalg, not equivalence
+        assert "polyinv.equivalence" not in mods
 
     def test_run_loads_every_command(self):
         # the in-process entry holds one module set whatever it has run
@@ -114,11 +116,21 @@ class TestPlainClasses:
         config = CliConfig("ehrhart", "p.json", "table", (2,), 3)
         assert (config.input_path, config.output_format, config.t_range) == ("p.json", "table", (2,))
         assert (config.dilation_max, config.family, config.summands) == (3, None, ())
-        config.family = "join"
-        assert config.family == "join"
+        assert CliConfig("construct").length == 1
+        with pytest.raises(AttributeError):
+            config.family = "join"
+        with pytest.raises(AttributeError):
+            config.extra = 1
+        assert config._replace(family="join").family == "join" and config.family is None
+        assert config == CliConfig(command="ehrhart", input_path="p.json", output_format="table",
+                                   t_range=(2,), dilation_max=3)
+        assert pickle.loads(pickle.dumps(config)) == config == copy.copy(config)
         for bad in ({"dilation_max": 0}, {"t_range": ()}, {"t_range": (1, -1)}):
             with pytest.raises(DomainError):
                 CliConfig(command="invariants", **bad)
+            # checked however a config is made
+            with pytest.raises(DomainError):
+                config._replace(**bad)
 
     def test_face(self):
         P = cube(2, 1)

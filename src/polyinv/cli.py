@@ -179,6 +179,9 @@ def _cmd_info(P: Polytope) -> dict:
 
 def _cmd_invariants(P: Polytope, config: CliConfig) -> dict:
     from . import invariants as inv
+    # with a digit limit set, str raises at the first c_t past it: stop there
+    for t in config.t_range if getattr(sys, "get_int_max_str_digits", int)() else ():
+        str(inv.c_t(P, t))
     doc = _poly_header(P)
     doc.update(inv.report(P, t_range=config.t_range).to_dict())
     return doc
@@ -290,14 +293,18 @@ def _run(config: CliConfig, input_bytes: bytes) -> tuple[int, bytes]:
 
 
 def _t_range(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = (int(x) for x in text.split("..", 1))
-        if hi < lo:
-            raise argparse.ArgumentTypeError(
-                f"empty range {text!r}: the upper end is below the lower end"
-            )
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    """`t` or `lo..hi`; argparse puts "argument --t-range: " before an error."""
+    ends = []
+    for x in text.split("..", 1):
+        try:
+            ends.append(int(x))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {x!r}") from None
+    if ends[-1] < ends[0]:
+        raise argparse.ArgumentTypeError(
+            f"empty range {text!r}: the upper end is below the lower end"
+        )
+    return tuple(range(ends[0], ends[-1] + 1))
 
 
 def _build_parser() -> argparse.ArgumentParser:

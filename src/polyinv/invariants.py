@@ -6,7 +6,7 @@ included). With nvol the integer normalized volume and r = dim(P):
     c_t(P) = sum over faces F of (-1)^(r - dim F) (dim F + t)! Vol(F)
            = sum over faces F of (-1)^(r - dim F) rising(dim F, t) nvol(F)
 
-where rising(d, t) = (d + t)! / d! keeps the arithmetic in integers.
+where rising(d, t) = (d + t)! / d! = perm(d + t, t) is an integer.
 c(P) = c_1(P). For the associated projective toric variety, c(P) equals
 the top Chern number of the first jet bundle of the embedding line
 bundle in the smooth case, hence the degree of the dual variety when
@@ -35,21 +35,14 @@ that expansion.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, perm
 from typing import Optional, Sequence, Union
 
 from . import volumes as vol
 from .errors import DomainError, NotSimpleError
 from .polytope import Face, Polytope
-
-
-def _rising(d: int, t: int) -> int:
-    out = 1
-    for i in range(d + 1, d + t + 1):
-        out *= i
-    return out
 
 
 def c_t(P: Polytope, t: int) -> int:
@@ -67,11 +60,14 @@ def c(P: Polytope) -> int:
 
 
 def c_grade_terms(P: Polytope, t: int = 1) -> list[int]:
-    """Per-dimension signed contributions to c_t, index k = 0..dim."""
-    r, vols = P.dim, vol._face_tables(P)[0]
+    """Per-dimension signed contributions to c_t, index k = 0..dim, from
+    the sums of nvol over each level, added up once per polytope."""
+    if "level_nvol" not in P._cache:
+        vols, levels = vol._face_tables(P)[0], P._lattice().levels
+        P._cache["level_nvol"] = [sum([vols[s] for s in level]) for level in levels]
     return [
-        (-1) ** (r - k) * _rising(k, t) * sum([vols[s] for s in level])
-        for k, level in enumerate(P._lattice().levels)
+        (-1) ** (P.dim - k) * perm(k + t, t) * total
+        for k, total in enumerate(P._cache["level_nvol"])
     ]
 
 
@@ -107,17 +103,19 @@ def c_star(P: Polytope) -> Fraction:
 
     Exact rational. When P is Delzant every multiplicity is 1, so the
     value is an integer and equals c(P). On other simple inputs it need
-    not be an integer; its denominator divides the lcm of mult(P, F)
+    not be an integer; its denominator divides the lcm L of mult(P, F)
     over the faces F, e.g. 1/2 on conv{(0,0),(1,0),(1,2)}, whose vertex
-    (0,0) has multiplicity 2.
+    (0,0) has multiplicity 2. The integer face terms are summed over L
+    and divided once.
     """
     if not P.is_simple():
         raise NotSimpleError("c_star defined only for simple polytopes")
     r, mults, vols = P.dim, _mults(P), vol._face_tables(P)[0]
-    sums: Counter[int] = Counter()  # integer face terms, summed by multiplicity
-    for s, k in P._lattice().dims.items():
-        sums[mults[s]] += (-1) ** (r - k) * (k + 1) * vols[s]
-    total = sum((Fraction(s, m) for m, s in sums.items()), Fraction(0))
+    L = lcm(*set(mults.values()))
+    total = Fraction(sum([
+        (-1) ** (r - k) * (k + 1) * vols[s] * (L // mults[s])
+        for s, k in P._lattice().dims.items()
+    ]), L)
     if P.is_delzant() and total != c(P):
         raise P._broken("c_star differs from c on a Delzant input")
     return total

@@ -392,8 +392,9 @@ def affine_model(points: Sequence[Sequence[int]]) -> tuple:
     Hermite forms only. Of the HNF of diffs^T, the transform rows at zero
     rows are the span equations and the pivot columns the rest of `start`.
     The equations' kernel is the saturated direction lattice; its row HNF
-    is `basis` (W, or I_n with no equations). The HNF transform of W^T
-    brings it to [I_d; 0], so its first d rows are `matrix`: A W^T = I_d.
+    is `basis` (W). The HNF transform of W^T brings it to [I_d; 0], so its
+    first d rows are `matrix`: A W^T = I_d. With no equations W = I_n is
+    its own Hermite form, with transform I_n, and neither is computed.
     `forward` is thus a bijection of the span's lattice points onto Z^d,
     so `start` stays independent: (0, 0)-(2, 2) goes to [0, 2], midpoint too."""
     pts = [tuple(p) for p in points]
@@ -411,17 +412,16 @@ def affine_model(points: Sequence[Sequence[int]]) -> tuple:
     equations = [u for u, h in zip(U, H) if not any(h)]
     d = n - len(equations)
     start += [others[next(j for j, x in enumerate(h) if x)] for h in H[:d]]
-    W = identity(n)
+    W = U = identity(n)  # no equations: HNF(I_n^T) = (I_n, I_n)
     if equations:
         # the row lattice of the kernel is saturated; HNF makes W canonical
         Wh, _ = hermite_normal_form(_left_kernel(transpose(equations)))
         W = [row for row in Wh if any(row)]
-    if len(W) != d:
-        raise _broken_span("saturation basis lost rank", pts)
-
-    H, U = hermite_normal_form(transpose(W))
-    if H != [row[:d] for row in identity(n)]:
-        raise _broken_span("span lattice basis is not saturated", pts)
+        if len(W) != d:
+            raise _broken_span("saturation basis lost rank", pts)
+        H, U = hermite_normal_form(transpose(W))
+        if H != [row[:d] for row in identity(n)]:
+            raise _broken_span("span lattice basis is not saturated", pts)
 
     norm = AffineNormalization(
         matrix=tuple(tuple(r) for r in U[:d]),

@@ -15,7 +15,9 @@ Facets come from an exact integer double description hull on the
 normalized model (`_hull_facet_normals`, its start cone read off one
 `linalg.adjugate`): its rays are the facet inequalities, their zero
 masks the tight sets; sidedness must give each ray the same set, of rank
-dim - 1, or the hull raises. Tight sets and facet incidences are int
+dim - 1, or the hull raises. A tight set through dim points of the start
+simplex has that rank, and only other tight sets are eliminated
+(`_is_facet`). Tight sets and facet incidences are int
 bitmasks over point ids; a point is a vertex only if the facets through
 it meet in that point alone. Transposed, the incidences are the normal
 fan (`_fan`): simplicity and the Delzant test (Delzant 1988) read it.
@@ -109,6 +111,7 @@ class Polytope:
         # extreme points: the facets through a point meet in that point alone
         meets = [(1 << len(pts)) - 1] * len(pts)
         if d > 0:
+            starts = sum(1 << i for i in start)
             for a, zero in _hull_facet_normals(model, start):
                 vals = [sum(map(mul, a, y)) for y in model]
                 b = min(vals)
@@ -116,16 +119,12 @@ class Polytope:
                     raise InternalConsistencyError(
                         f"hull zero mask is not the tight set (points {tuple(pts)})"
                     )
-                # tight differences lie in a^perp: dropping j, a_j != 0, keeps rank
-                first, *rest = _ids(zero)
-                cols = zip(*[la.vec_sub(model[i], model[first]) for i in rest])
-                j = next(k for k, x in enumerate(a) if x)
-                if la.rank([c for k, c in enumerate(cols) if k != j]) != d - 1:
+                if not _is_facet(model, starts, a, zero):
                     raise InternalConsistencyError(
                         f"hull ray is not a facet (points {tuple(pts)})"
                     )
                 facets[(a, b)] = zero
-                for i in (first, *rest):
+                for i in _ids(zero):
                     meets[i] &= zero
 
         keep = [i for i, meet in enumerate(meets) if meet == 1 << i]
@@ -454,6 +453,21 @@ def _clean_points(points: Iterable[Sequence[int]]) -> list[Point]:
     if not pts:
         raise DomainError("a polytope needs at least one vertex")
     return list(dict.fromkeys(pts))
+
+
+def _is_facet(model: list[Point], starts: int, a: Point, zero: int) -> bool:
+    """Whether the points of the mask `zero`, all on a . y = b with a != 0,
+    have rank d - 1 = len(a) - 1. d points of the start simplex (mask
+    `starts`) have it: independent, they have rank d - 1, and on the
+    hyperplane no more. Else one elimination, stopping at d - 1 pivots,
+    runs over the differences to the first point with a coordinate j,
+    a_j != 0, dropped; as they lie in a^perp, that keeps the rank."""
+    if (zero & starts).bit_count() == len(a):
+        return True
+    first, *rest = _ids(zero)
+    cols = zip(*[la.vec_sub(model[i], model[first]) for i in rest])
+    j = next(k for k, x in enumerate(a) if x)
+    return la.rank([c for k, c in enumerate(cols) if k != j]) == len(a) - 1
 
 
 def _hull_facet_normals(model: list[Point], start: list[int]) -> list:

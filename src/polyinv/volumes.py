@@ -204,7 +204,9 @@ def _fit(
     - (L(-n), L(n)) = values[n - 1] for n = 1..floor((k - 1)/2).
 
     The even and odd parts (L(n) +- L(-n)) / 2 are fitted apart, each in
-    n^2 through n = 0..floor((k - 1)/2) by `interpolate`. For odd k the
+    n^2 through n = 0..floor((k - 1)/2) by `_lagrange`, in integers: each
+    coefficient is its numerator over twice the common denominator, and
+    that division must be exact. For odd k the
     data fix c_{k-1} twice, and the two must agree; values beyond the
     fitted ones must be matched. Errors name `what` on the face with
     vertex mask s.
@@ -225,11 +227,12 @@ def _fit(
                 a * n**j for j, a in enumerate(coeffs) if j % 2 == p
             )
             points.append((n * n, n**p * rest))
-        for i, cf in enumerate(interpolate(points)[1:], 1):
-            j, cf = 2 * i - p, cf / 2
-            if cf.denominator != 1:
+        num, den = _lagrange(points)
+        for i, a in enumerate(num[1:], 1):
+            j = 2 * i - p
+            coeffs[j], rem = divmod(a, 2 * den)
+            if rem:
                 raise P._broken(f"{scale} * {what} c_{j} is not an integer", s)
-            coeffs[j] = int(cf)
     if k % 2 and 2 * coeffs[k - 1] != k * facets:
         raise P._broken(f"{what} c_{k - 1} differs from half the facet volumes", s)
     for n, (down, up) in enumerate(values[m:], m + 1):
@@ -322,8 +325,15 @@ def _scan(P: Polytope, n: int) -> dict[int, int]:
 
 def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
     """Coefficients (ascending) of the unique polynomial of degree
-    < len(points) through the given integer points, by Lagrange's formula
-    in integers over one common denominator, divided out last."""
+    < len(points) through the given integer points (`_lagrange`)."""
+    num, den = _lagrange(points)
+    return [Fraction(a, den) for a in num]
+
+
+def _lagrange(points: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(num, den), den > 0, with num[i] / den the coefficient of x^i of
+    the polynomial through `points`, by Lagrange's formula in integers
+    over one common denominator."""
     num, den = [0] * len(points), 1
     for i, (xi, yi) in enumerate(points):
         # add yi prod_{j != i} (x - x_j) / (x_i - x_j) to num / den
@@ -334,4 +344,4 @@ def interpolate(points: Sequence[tuple[int, int]]) -> list[Fraction]:
                 d *= xi - xj
         num = [d * a + den * yi * b for a, b in zip(num, basis)]
         den *= d
-    return [Fraction(a, den) for a in num]
+    return ([-a for a in num], -den) if den < 0 else (num, den)

@@ -208,6 +208,21 @@ class TestErrorPaths:
         assert "'3..1'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "value,bad", [("1..x", "'x'"), ("x", "'x'"), ("1..2..3", "'2..3'")]
+    )
+    def test_malformed_t_range_names_the_option(self, value, bad, tmp_path, capsys):
+        from polyinv.cli import main
+
+        p = tmp_path / "tri.json"
+        p.write_bytes(TRI)
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--t-range", value, str(p)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"polyinv invariants: error: argument --t-range: invalid int value: {bad}"
+        )
+
 
 class TestDeterminism:
     def test_run_twice_byte_identical(self):
@@ -376,6 +391,41 @@ class TestPastPythonLimits:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "sys.get_int_max_str_digits() = 4300" in captured.err
         assert "PYTHONINTMAXSTRDIGITS" in captured.err
+
+    def test_long_t_range_stops_at_the_first_long_result(
+        self, int_digit_limit, monkeypatch, tmp_path, capsys
+    ):
+        from polyinv import cli, invariants
+
+        # of the unit triangle's c_t for t = 0..5000, those past t = 1,556
+        # have more than 4300 digits: the first of them ends the command
+        seen = []
+
+        def recorded(P, t):
+            seen.append(t)
+            return c_t(P, t)
+
+        c_t = invariants.c_t
+        monkeypatch.setattr(invariants, "c_t", recorded)
+        p = tmp_path / "tri.json"
+        p.write_bytes(TRI)
+        assert cli.main(["invariants", "--t-range", "0..5000", str(p)]) == 2
+        assert seen == list(range(seen[-1] + 1))
+        assert len(str(c_t(simplex(2), seen[-1] - 1))) <= 4300
+        sys.set_int_max_str_digits(0)
+        assert len(str(c_t(simplex(2), seen[-1]))) > 4300
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sys.get_int_max_str_digits() = 4300" in captured.err
+
+    def test_no_digit_limit_computes_every_t(self, int_digit_limit, tmp_path, capsys):
+        from polyinv.cli import main
+
+        sys.set_int_max_str_digits(0)
+        p = tmp_path / "tri.json"
+        p.write_bytes(TRI)
+        assert main(["invariants", "--t-range", "1999..2001", str(p)]) == 0
+        c_t = json.loads(capsys.readouterr().out)["c_t"]
+        assert list(c_t) == ["1999", "2000", "2001"] and len(str(c_t["2001"])) > 4300
 
     def test_other_value_errors_are_not_caught(self, monkeypatch):
         from polyinv import cli

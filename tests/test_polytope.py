@@ -15,7 +15,7 @@ from polyinv import Polytope, classifier, cube, hypersimplex, invariants, simple
 from polyinv import linalg as la
 from polyinv import polytope, volumes
 from polyinv.errors import DomainError, InternalConsistencyError
-from polyinv.polytope import _clean_points, _start_cone
+from polyinv.polytope import _clean_points, _ids, _is_facet, _start_cone
 
 import oracles
 from conftest import (
@@ -279,6 +279,25 @@ class TestHullOracle:
     @given(hull_inputs())
     def test_matches_subset_enumeration(self, pts):
         assert_hull_matches_subset_enumeration(pts)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hull_inputs())
+    def test_facet_certificate_matches_gauss_rank(self, pts):
+        # the start-simplex certificate, and the elimination behind it, pass
+        # a ray iff its tight set has rank d - 1: each hull ray, and each
+        # sum of two, tight on a ridge or on a smaller face or facet
+        pts = _clean_points(pts)
+        _norm, model, start = la.affine_model(pts)
+        d, starts = len(start) - 1, sum(1 << i for i in start)
+        normals = [a for a, _ in polytope._hull_facet_normals(model, start)] if d else []
+        sums = [la.vec_add(a, b) for a, b in itertools.combinations(normals, 2)]
+        for a in normals + [la.primitive(a) for a in sums if any(a)]:
+            vals = [la.dot(a, y) for y in model]
+            zero = sum(1 << i for i, v in enumerate(vals) if v == min(vals))
+            first, *rest = _ids(zero)
+            diffs = [la.vec_sub(model[i], model[first]) for i in rest]
+            rank = oracles.gauss_rank(diffs)
+            assert _is_facet(model, starts, a, zero) == (rank == d - 1), (a, zero)
 
     @pytest.mark.parametrize(
         "pts",
@@ -576,6 +595,25 @@ class TestHullZeroMasks:
             return rays + [(la.primitive(la.vec_add(a, b)), z & w)]
 
         monkeypatch.setattr(polytope, "_hull_facet_normals", with_an_edge_ray)
+        with pytest.raises(InternalConsistencyError, match="hull ray is not a facet"):
+            Polytope.from_vertices(list(itertools.product((0, 1), repeat=3)))
+
+    def test_ray_through_start_points_of_an_edge_raises(self, monkeypatch):
+        # only d points of the start simplex certify a facet: a ray tight on
+        # an edge of the 3-cube between two of them is still eliminated
+        hull = polytope._hull_facet_normals
+
+        def with_a_start_edge_ray(model, start):
+            rays = hull(model, start)
+            starts = sum(1 << i for i in start)
+            (a, z), (b, w) = next(
+                (p, q)
+                for p, q in itertools.combinations(rays, 2)
+                if (p[1] & q[1]).bit_count() == 2 == (p[1] & q[1] & starts).bit_count()
+            )
+            return rays + [(la.primitive(la.vec_add(a, b)), z & w)]
+
+        monkeypatch.setattr(polytope, "_hull_facet_normals", with_a_start_edge_ray)
         with pytest.raises(InternalConsistencyError, match="hull ray is not a facet"):
             Polytope.from_vertices(list(itertools.product((0, 1), repeat=3)))
 

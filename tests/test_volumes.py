@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -440,6 +441,23 @@ class TestEhrhartFitChecks:
         top = P.top_face()
         self._raises(ehrhart_polynomial, top, r"^6 \* Ehrhart c_2 is not an integer", top)
         self._raises(f_polynomial, P, r"^6 \* Ehrhart sum S_3 c_2 is not an integer", top)
+
+
+class TestLagrange:
+    """`volumes._lagrange`, the integer core of `_fit` and `interpolate`."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_core_and_interpolate_agree(self, seed):
+        rng = random.Random(seed)
+        xs = rng.sample(range(-9, 10), rng.randint(1, 6))
+        if seed % 2:
+            xs.sort(reverse=True)
+        points = [(x, rng.randint(-50, 50)) for x in xs]
+        num, den = volumes._lagrange(points)
+        assert den > 0 and len(num) == len(points)
+        for x, y in points:
+            assert sum(a * x**j for j, a in enumerate(num)) == den * y
+        assert interpolate(points) == [Fraction(a, den) for a in num]
 
 
 class TestCountInOwnModel:

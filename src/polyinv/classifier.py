@@ -260,7 +260,7 @@ def classify(P: Polytope) -> ClassificationReport:
                 "c = 0 on a non-Delzant polytope: candidate join structure "
                 "outside the certified classification",
             )
-    elif cval == 0 and P.dim >= 2:
+    elif cval == 0:
         verdict = "defect"
         dec = decompose_join(P)
     elif cval < 0:

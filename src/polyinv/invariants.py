@@ -76,26 +76,15 @@ def mult(P: Polytope, face: Union[Face, Polytope]) -> int:
 
     The number of lattice points in the half-open parallelotope spanned
     by the primitive inward normals of the facets containing the face;
-    1 for the polytope itself, and 1 for every face iff P is Delzant.
+    1 for the polytope itself, and 1 for every face iff P is Delzant;
+    the volume walk's second table (`volumes._face_tables`).
     """
     if not P.is_simple():
         raise NotSimpleError("multiplicity defined only for simple polytopes")
     owner, s = vol._located(face)
     if owner is not P and owner != P:
         raise DomainError("face does not belong to this polytope")
-    return _mults(P)[s]
-
-
-def _mults(P: Polytope) -> dict[int, int]:
-    """Face mask -> multiplicity, read off the cuts of the volume walk: a
-    facet G of a face F adds one facet normal a_t, and mult(G) = mult(F) * g,
-    g the content of a_t on the direction lattice of G's cutter F."""
-    if "mult" not in P._cache:
-        out = {P._lattice().levels[-1][0]: 1}
-        for c, (s, g) in vol._face_tables(P)[1].items():  # top down
-            out[c] = out[s] * g
-        P._cache["mult"] = out
-    return P._cache["mult"]
+    return vol._face_tables(P)[1][s]
 
 
 def c_star(P: Polytope) -> Fraction:
@@ -105,12 +94,12 @@ def c_star(P: Polytope) -> Fraction:
     value is an integer and equals c(P). On other simple inputs it need
     not be an integer; its denominator divides the lcm L of mult(P, F)
     over the faces F, e.g. 1/2 on conv{(0,0),(1,0),(1,2)}, whose vertex
-    (0,0) has multiplicity 2. The integer face terms are summed over L
-    and divided once.
+    (0,0) has multiplicity 2. The integer face terms, from the volume
+    walk's two tables, are summed over L and divided once.
     """
     if not P.is_simple():
         raise NotSimpleError("c_star defined only for simple polytopes")
-    r, mults, vols = P.dim, _mults(P), vol._face_tables(P)[0]
+    r, (vols, mults) = P.dim, vol._face_tables(P)
     L = lcm(*set(mults.values()))
     total = Fraction(sum([
         (-1) ** (r - k) * (k + 1) * vols[s] * (L // mults[s])

@@ -265,18 +265,11 @@ def paired_unimodular_map(
 
 
 def kernel_basis(M: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the integer kernel {x : M x = 0}, a saturated lattice."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if n == 0:
+    """Basis of the integer kernel {x : M x = 0}, a saturated lattice: the
+    rows of the HNF transform U aligned with zero rows of H = U M^T."""
+    if not M or not M[0]:
         return []
-    return _left_kernel(transpose(M))
-
-
-def _left_kernel(M: Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of the saturated lattice {c : c M = 0}: the rows of the HNF
-    transform U aligned with zero rows of H = U M."""
-    H, U = hermite_normal_form(M)
+    H, U = hermite_normal_form(transpose(M))
     return [tuple(u) for u, h in zip(U, H) if not any(h)]
 
 
@@ -415,7 +408,7 @@ def affine_model(points: Sequence[Sequence[int]]) -> tuple:
     W = U = identity(n)  # no equations: HNF(I_n^T) = (I_n, I_n)
     if equations:
         # the row lattice of the kernel is saturated; HNF makes W canonical
-        Wh, _ = hermite_normal_form(_left_kernel(transpose(equations)))
+        Wh, _ = hermite_normal_form(kernel_basis(equations))
         W = [row for row in Wh if any(row)]
         if len(W) != d:
             raise _broken_span("saturation basis lost rank", pts)
@@ -436,7 +429,7 @@ def affine_model(points: Sequence[Sequence[int]]) -> tuple:
 
 
 def _broken_span(identity: str, points: list[Vector]) -> InternalConsistencyError:
-    """A failed identity of `affine_normalize`, naming the input points."""
+    """A failed identity of `affine_model` or the hull, naming the points."""
     return InternalConsistencyError(f"{identity} (points {tuple(points)})")
 
 

@@ -116,13 +116,9 @@ class Polytope:
                 vals = [sum(map(mul, a, y)) for y in model]
                 b = min(vals)
                 if zero != sum(1 << i for i, v in enumerate(vals) if v == b):
-                    raise InternalConsistencyError(
-                        f"hull zero mask is not the tight set (points {tuple(pts)})"
-                    )
+                    raise la._broken_span("hull zero mask is not the tight set", pts)
                 if not _is_facet(model, starts, a, zero):
-                    raise InternalConsistencyError(
-                        f"hull ray is not a facet (points {tuple(pts)})"
-                    )
+                    raise la._broken_span("hull ray is not a facet", pts)
                 facets[(a, b)] = zero
                 for i in _ids(zero):
                     meets[i] &= zero

@@ -12,9 +12,9 @@ h_G * nvol(G) over the facets G of F avoiding v, where h_G is the
 lattice height of v over aff(G) in the lattice of aff(F). If the facet
 t of P cuts G from F and its normal a_t has content g on F's direction
 lattice, then h_G = (<a_t, v> - b_t) / g. One level walk (`_walk`) cuts
-each face's lattice basis (values on the facet normals, in P's model)
-once from a parent's and reads the heights top down, then sums bottom
-up; no face needs a coordinate change and no simplex is enumerated.
+each face's lattice basis (facet normal values, in P's model) once from
+a parent's, multiplies the contents g into multiplicities and reads the
+heights top down, then sums up; no coordinate change, no simplex.
 
 Ehrhart data are read from volumes and the carrier tables of nP alone
 (`_fit`). For a k-face F, L_F(0) = 1, the leading coefficient is the
@@ -81,44 +81,46 @@ def _volumes(P: Polytope, masks: Sequence[int]) -> dict[int, int]:
 
 
 def _face_tables(P: Polytope) -> tuple[dict, dict]:
-    """`_walk` over every face of P, once: its two tables."""
-    if "cuts" not in P._cache:
-        vols, cuts = _walk(P, P._lattice().levels, every=True)
-        P._cache.update(nvol=vols, cuts=cuts)  # nvol: a one-face table's superset
-    return P._cache["nvol"], P._cache["cuts"]
+    """`_walk` over every face of P, once: its nvol and mult tables."""
+    if "mult" not in P._cache:
+        vols, mults = _walk(P, P._lattice().levels, every=True)
+        P._cache.update(nvol=vols, mult=mults)  # nvol: a one-face table's superset
+    return P._cache["nvol"], P._cache["mult"]
 
 
 def _walk(P: Polytope, levels: list[list[int]], every: bool) -> tuple[dict, dict]:
-    """(face mask -> nvol, face mask -> (cutter, content)) on the faces of
-    `levels`, by dimension, and, unless they are `every` face, on the
-    pyramid children they reach, appended there. Top down, a face F cuts
-    the basis of each child it reaches first (of any child if `every`) and
-    reads the height of its first vertex over each pyramid child, with the
-    content g of the cut or the gcd of the facet's values on F's basis;
-    bottom up, nvol(F) sums h_G * nvol(G)."""
+    """(face mask -> nvol, face mask -> mult) on the faces of `levels`, by
+    dimension, and, unless they are `every` face, on the pyramid children
+    they reach, appended there. A face that no walked face reaches has
+    mult 1. Top down, a face F cuts the basis of each child G it reaches
+    first (of any child if `every`) with content g, that of G's new facet
+    normal on F's lattice, so mult(G) = mult(F) * g, and reads the height
+    of its first vertex over each pyramid child with g or the gcd of the
+    facet's values on F's basis. Bottom up, nvol(F) sums h_G * nvol(G)."""
     facets, children, nfacets = P._lattice().facets, P._lattice().children, P._nfacets
-    cuts, pyramids, bases = {}, {}, {}  # (cutter, g), [(child, h)], basis
+    whole = list(zip(*(a for a, _ in nfacets)))  # P's basis, as facet values
+    mults, pyramids, bases = dict.fromkeys(levels[-1], 1), {}, {}
     for k in range(len(levels) - 1, 0, -1):
         for s in levels[k]:
             if s in bases:
                 basis = bases.pop(s)
-            else:  # reached by no walked face: P's basis (cached), cut at s's facets
-                basis = P._cache.setdefault("basis", list(zip(*(a for a, _ in nfacets))))
+            else:  # a start, reached by no walked face: P's basis cut at its facets
+                basis, mults[s] = whole, 1
                 for t in _ids(facets[s]):
                     basis = la.cut_basis(basis, t)[1]
             low, fs = s & -s, facets[s]  # vertices are lex sorted
             v = P._nverts[low.bit_length() - 1]
             pyramids[s] = pyramid = []
             for c in children[s]:
-                if c & low and (not every or c in cuts):
+                if c & low and (not every or c in mults):
                     continue
                 new = facets[c] & ~fs
                 t = (new & -new).bit_length() - 1
-                if c in cuts:
+                if c in mults:
                     g = gcd(*[w[t] for w in basis])
                 else:
                     g, bases[c] = la.cut_basis(basis, t)
-                    cuts[c] = (s, g)
+                    mults[c] = mults[s] * g
                     if not every:
                         levels[k - 1].append(c)
                 if g < 1:
@@ -138,7 +140,7 @@ def _walk(P: Polytope, levels: list[list[int]], every: bool) -> tuple[dict, dict
         vols[s] = total = sum([h * vols[c] for c, h in pyramid])
         if total <= 0:
             raise P._broken("face has nonpositive volume", s)
-    return vols, cuts
+    return vols, mults
 
 
 def volume(face: FaceLike) -> Fraction:

@@ -3,7 +3,7 @@
 Everything here is deliberately written from scratch against the same
 mathematical definitions the library implements, sharing no code with
 it: exact rational Gaussian elimination, determinants as signed
-permutation sums, a tiny phase-I simplex over Fractions for
+permutation sums, a tiny phase-I simplex over integer rows for
 feasibility questions, supporting-hyperplane face detection by subset
 enumeration, the graded face lattice pass on frozensets, facets by
 hyperplanes through every affinely independent point subset,
@@ -161,30 +161,26 @@ def _integral_primitive(v):
 
 
 # ---------------------------------------------------------------------------
-# phase-I simplex feasibility, Bland's rule, exact rationals
+# phase-I simplex feasibility, Bland's rule, exact integer rows
 
 
 def lp_feasible(A, b):
-    """Is there x >= 0 with A x = b? Exact."""
+    """Is there x >= 0 with A x = b, for integer A and b? Exact. Each
+    tableau row, right-hand side last, and the objective are kept in
+    integers up to a positive scale: the ratio test cross-multiplies, and
+    a pivot sends a row to piv * row - a * leave over its gcd. Every
+    decision reads a sign or a ratio, which the scales leave alone, so
+    Bland's rule picks the pivots of the tableau over the rationals."""
     m = len(A)
     n = len(A[0]) if m else 0
-    T = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
-            row = [-x for x in row]
-            bi = -bi
-        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)])
-        rhs.append(bi)
-    basis = [n + i for i in range(m)]
     total = n + m
-    obj = [Fraction(0)] * (total + 1)
+    T = []
     for i in range(m):
-        for j in range(total):
-            obj[j] -= T[i][j]
-        obj[total] -= rhs[i]
+        sign = -1 if b[i] < 0 else 1
+        unit = [1 if j == i else 0 for j in range(m)]
+        T.append([sign * x for x in A[i]] + unit + [sign * b[i]])
+    basis = [n + i for i in range(m)]
+    obj = [-sum(row[j] for row in T) for j in range(total + 1)]
     for j in range(n, total):
         obj[j] += 1
 
@@ -197,34 +193,34 @@ def lp_feasible(A, b):
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             if T[i][enter] > 0:
-                ratio = rhs[i] / T[i][enter]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / T_i < rhs_l / T_l, both pivots positive
+                cross = T[i][total] * T[leave][enter] - T[leave][total] * T[i][enter]
+                if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             break
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        rhs[leave] /= piv
+        row = T[leave]
+        piv = row[enter]
         for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-                rhs[i] -= f * rhs[leave]
-        f = obj[enter]
-        if f != 0:
-            for j in range(total):
-                obj[j] -= f * T[leave][j]
-            obj[total] -= f * rhs[leave]
+            a = T[i][enter]
+            if i != leave and a != 0:
+                T[i] = _reduced([piv * x - a * y for x, y in zip(T[i], row)])
+        a = obj[enter]
+        if a != 0:
+            obj = _reduced([piv * x - a * y for x, y in zip(obj, row)])
         basis[leave] = enter
     return obj[total] == 0
+
+
+def _reduced(row):
+    """An integer row divided by the gcd of its entries, a positive scale."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------
@@ -996,13 +992,6 @@ def _face_ehrhart(P, s, k, boundary, scale):
                 raise P._broken(f"{scale} * Ehrhart c_{j} is not an integer", s)
             coeffs[j] = int(cf)
     return tuple(coeffs)
-
-
-def structural_ehrhart_polynomial(face):
-    """`ehrhart_polynomial` of a face by `structural_ehrhart`."""
-    P = face.owner
-    scale = factorial(P.dim)
-    return tuple(Fraction(a, scale) for a in structural_ehrhart(P)[face.mask])
 
 
 def structural_f_polynomial(P):

@@ -318,10 +318,10 @@ class TestNamedErrors:
         assert "polytope unit-square" in str(err.value)
 
     def test_c_star_differs_from_c(self, monkeypatch):
-        monkeypatch.setattr(
-            invariants, "_mults",
-            lambda P: {s: 1 + (k == 0) for s, k in P._lattice().dims.items()},
-        )
+        tables = volumes._face_tables
+        monkeypatch.setattr(volumes, "_face_tables", lambda P: (
+            tables(P)[0], {s: 1 + (k == 0) for s, k in P._lattice().dims.items()},
+        ))
         out = self._run(CliConfig(command="invariants"))
         assert "c_star differs from c on a Delzant input" in out
         assert "polytope unit-square, face (0, 1, 2, 3)" in out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,9 +456,9 @@ class TestNamedNormalizationErrors:
         monkeypatch.setattr(la, name, wrapped)
 
     def test_saturation_basis_lost_rank(self, monkeypatch):
-        # the one left kernel is the direction lattice of the span; the
+        # the one kernel basis is the direction lattice of the span; the
         # span equations come straight from the first Hermite form
-        self.corrupt_call(monkeypatch, "_left_kernel", 1, lambda rows: rows[:-1])
+        self.corrupt_call(monkeypatch, "kernel_basis", 1, lambda rows: rows[:-1])
         with pytest.raises(InternalConsistencyError, match="lost rank") as err:
             la.affine_normalize(self.POINTS)
         assert str(err.value) == "saturation basis lost rank" + self.NAMED
@@ -543,3 +544,99 @@ class TestHermiteOnlyNormalization:
         if oracles.affine_dim(pts) == oracles.affine_dim(qts) == r:
             a, b = la.affine_normalize(pts), la.affine_normalize(qts)
             assert (a.basis, a.matrix) == (b.basis, b.matrix)
+
+
+def fraction_lp_feasible(A, b):
+    """`oracles.lp_feasible` as it was over `Fraction` entries, kept to
+    check its integer tableau against."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T = []
+    rhs = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        bi = Fraction(b[i])
+        if bi < 0:
+            row = [-x for x in row]
+            bi = -bi
+        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)])
+        rhs.append(bi)
+    basis = [n + i for i in range(m)]
+    total = n + m
+    obj = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for j in range(total):
+            obj[j] -= T[i][j]
+        obj[total] -= rhs[i]
+    for j in range(n, total):
+        obj[j] += 1
+
+    while True:
+        enter = None
+        for j in range(total):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = rhs[i] / T[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            break
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        rhs[leave] /= piv
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+                rhs[i] -= f * rhs[leave]
+        f = obj[enter]
+        if f != 0:
+            for j in range(total):
+                obj[j] -= f * T[leave][j]
+            obj[total] -= f * rhs[leave]
+        basis[leave] = enter
+    return obj[total] == 0
+
+
+class TestLpFeasibleOracle:
+    """The integer-row simplex of `oracles.lp_feasible` against its
+    `Fraction` original, on seeded systems and on the oracles' own."""
+
+    def test_seeded_systems(self):
+        rng, seen = random.Random(7), set()
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            b = [rng.randint(-4, 4) for _ in range(m)]
+            want = fraction_lp_feasible(A, b)
+            assert oracles.lp_feasible(A, b) == want, (A, b)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_the_oracles_own_systems(self, monkeypatch):
+        # each LP that a box count and a face enumeration pose
+        real, calls = oracles.lp_feasible, []
+        monkeypatch.setattr(
+            oracles, "lp_feasible", lambda A, b: calls.append((A, b)) or real(A, b)
+        )
+        rng = random.Random(11)
+        for _ in range(12):
+            d = rng.randint(1, 3)
+            V = sorted({tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 2)})
+            oracles.box_count(V, 1)
+            oracles.face_vertex_sets(V)
+        assert {fraction_lp_feasible(A, b) for A, b in calls} == {True, False}
+        for A, b in calls:
+            assert real(A, b) == fraction_lp_feasible(A, b), (A, b)

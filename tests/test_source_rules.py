@@ -1,7 +1,8 @@
 """The package's standing rules, read off its source with `ast`: it
 imports nothing outside the standard library and itself, nor
 `dataclasses` (its records are namedtuples), it has no
-floating point (no float or complex literal, no call to `float`), only
+floating point (no float or complex literal, no call to `float`), no
+`setdefault` builds its default by a call, which runs on every lookup, only
 `polytope.py` makes `Face` objects (no call to `Face` or to a method
 that hands Faces out anywhere else), and every identity check has a test
 that makes it fire (its message is matched by some `pytest.raises`)."""
@@ -36,6 +37,13 @@ def violations(tree):
             yield node.lineno, f"literal {node.value!r}"
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
             yield node.lineno, "call to float"
+        # setdefault evaluates its default before it looks up the key
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "setdefault"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Call)
+        ):
+            yield node.lineno, "setdefault with a call as its default"
 
 
 # methods that make Faces; the rest of the package works on vertex masks
@@ -83,6 +91,21 @@ def test_dataclasses_rule_is_seen():
     ])
     assert list(violations(ast.parse(source))) == [
         (1, "import of dataclasses"), (2, "import of dataclasses"),
+    ]
+
+
+def test_setdefault_rule_is_seen():
+    source = "\n".join([
+        'memo.setdefault("basis", list(zip(*rows)))',
+        'memo.setdefault("nvol", {})',
+        'memo.setdefault(key, [])',
+        'memo.setdefault(key)',
+        'memo.setdefault(key, build(x))',
+        'memo.get("basis", list(rows))',
+    ])
+    assert list(violations(ast.parse(source))) == [
+        (1, "setdefault with a call as its default"),
+        (5, "setdefault with a call as its default"),
     ]
 
 
